@@ -1,122 +1,18 @@
-// Concurrent dictionaries used where a single global table receives parallel
-// batch operations (Index(e) of Theorem 1.1, InterCluster of Lemma 3.3,
-// NextLevelEdges of Lemma 4.1, ...). Stand-in for the CRCW hash table of
-// [GMV91] (see DESIGN.md §1).
-//
-// Two flavors:
-//  * ShardedMap<K,V>: striped std::unordered_map; supports arbitrary V and
-//    erase; the general-purpose workhorse.
-//  * ConcurrentFixedMap: open-addressing CAS table for uint64 keys, insert/
-//    find only, used in hot parallel phases with pre-known capacity.
+// ConcurrentFixedMap: the concurrent stand-in for the CRCW hash table of
+// [GMV91] (see DESIGN.md §1) — an open-addressing CAS table for uint64
+// keys, insert/find only, used in hot parallel phases with pre-known
+// capacity (the cluster spanner's edge index).
 #pragma once
 
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
-#include <vector>
 
 #include "util/rng.hpp"
 
 namespace parspan {
-
-template <typename K, typename V, typename Hash = std::hash<K>>
-class ShardedMap {
- public:
-  explicit ShardedMap(size_t num_shards = 64) {
-    shards_.reserve(num_shards);
-    for (size_t i = 0; i < num_shards; ++i)
-      shards_.push_back(std::make_unique<Shard>());
-  }
-
-  /// Inserts or overwrites key -> value.
-  void insert_or_assign(const K& key, const V& value) {
-    Shard& s = shard(key);
-    std::lock_guard<std::mutex> g(s.mu);
-    s.map[key] = value;
-  }
-
-  /// Applies fn(V&) to the value of `key`, default-constructing it first if
-  /// absent. The lock is held for the duration of fn.
-  template <typename Fn>
-  void upsert(const K& key, Fn&& fn) {
-    Shard& s = shard(key);
-    std::lock_guard<std::mutex> g(s.mu);
-    fn(s.map[key]);
-  }
-
-  /// Applies fn(V&) if the key is present; returns whether it was. If fn
-  /// returns false the entry is erased (update-or-erase in one lock).
-  template <typename Fn>
-  bool update_or_erase(const K& key, Fn&& fn) {
-    Shard& s = shard(key);
-    std::lock_guard<std::mutex> g(s.mu);
-    auto it = s.map.find(key);
-    if (it == s.map.end()) return false;
-    if (!fn(it->second)) s.map.erase(it);
-    return true;
-  }
-
-  /// Copy of the value if present.
-  std::optional<V> get(const K& key) const {
-    const Shard& s = shard(key);
-    std::lock_guard<std::mutex> g(s.mu);
-    auto it = s.map.find(key);
-    if (it == s.map.end()) return std::nullopt;
-    return it->second;
-  }
-
-  bool contains(const K& key) const { return get(key).has_value(); }
-
-  bool erase(const K& key) {
-    Shard& s = shard(key);
-    std::lock_guard<std::mutex> g(s.mu);
-    return s.map.erase(key) > 0;
-  }
-
-  /// Total entry count (takes all shard locks; not for hot paths).
-  size_t size() const {
-    size_t n = 0;
-    for (const auto& s : shards_) {
-      std::lock_guard<std::mutex> g(s->mu);
-      n += s->map.size();
-    }
-    return n;
-  }
-
-  void clear() {
-    for (auto& s : shards_) {
-      std::lock_guard<std::mutex> g(s->mu);
-      s->map.clear();
-    }
-  }
-
-  /// Visits all entries. NOT safe concurrently with writers.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const auto& s : shards_)
-      for (const auto& [k, v] : s->map) fn(k, v);
-  }
-
- private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<K, V, Hash> map;
-  };
-
-  Shard& shard(const K& key) {
-    return *shards_[Hash{}(key) * 0x9e3779b97f4a7c15ULL % shards_.size()];
-  }
-  const Shard& shard(const K& key) const {
-    return *shards_[Hash{}(key) * 0x9e3779b97f4a7c15ULL % shards_.size()];
-  }
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-};
 
 /// Fixed-capacity open-addressing hash map for uint64 keys (values uint64),
 /// with lock-free concurrent insert/find. No erase; keys must be != kEmpty.

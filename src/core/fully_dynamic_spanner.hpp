@@ -9,15 +9,11 @@
 // E_0 is maintained trivially (all of its edges are in the spanner; its
 // capacity matches the target spanner size). Every other E_i runs its own
 // DecrementalClusterSpanner. By Observation 3.7 (spanners are decomposable)
-// the union of the per-partition spanners is a (2k-1)-spanner of G.
-//
-// Batch insertion U splits into U_r ∪ U_0 ∪ ... ∪ U_b with |U_i| = 2^{l0+i}
-// or empty (determined by the binary representation of |U|); each nonempty
-// U_i is merged with E_i..E_{j-1} into the first empty slot E_j (j >= i).
-// The merge is one parallel sort over the union (DESIGN.md §6), and the
-// decremental instances of the rebuilt slots — disjoint by construction —
-// are built concurrently. Deletions are routed to their partition through
-// the flat open-addressing Index table (DESIGN.md §1).
+// the union of the per-partition spanners is a (2k-1)-spanner of G. The
+// partition bookkeeping, batch chunking, concurrent rebuilds and
+// partition-parallel deletions are the shared BentleySaxe core
+// (core/bentley_saxe.hpp, DESIGN.md §6.1); this class supplies the
+// capacity exponent and the instance type.
 //
 // Batch semantics: update() applies deletions first, then insertions;
 // duplicates and no-ops are filtered. The returned SpannerDiff is the NET
@@ -34,7 +30,7 @@
 #include <memory>
 #include <vector>
 
-#include "container/flat_map.hpp"
+#include "core/bentley_saxe.hpp"
 #include "core/cluster_spanner.hpp"
 #include "util/types.hpp"
 
@@ -47,22 +43,48 @@ struct FullyDynamicSpannerConfig {
   uint64_t seed = 1;
 };
 
+/// BentleySaxe policy of Theorem 1.1: DecrementalClusterSpanner partitions,
+/// unweighted outputs netted by a DiffAccumulator (DESIGN.md §6.4).
+struct ClusterSpannerPartitions {
+  using Instance = DecrementalClusterSpanner;
+  using Out = Edge;
+  struct Netter : DiffAccumulator {
+    void add(Edge e) { DiffAccumulator::add(e.key()); }
+    void remove(Edge e) { DiffAccumulator::remove(e.key()); }
+  };
+
+  uint32_t k = 4;
+
+  std::unique_ptr<Instance> build(size_t n, std::vector<EdgeKey> sorted_keys,
+                                  uint64_t seed) const;
+  static std::vector<Edge> outputs(const Instance& s) {
+    return s.spanner_edges();
+  }
+  static size_t output_size(const Instance& s) { return s.spanner_size(); }
+  static Edge unit(EdgeKey ek) { return edge_from_key(ek); }
+  static EdgeKey key(Edge e) { return e.key(); }
+};
+
+extern template class BentleySaxe<ClusterSpannerPartitions>;
+
 class FullyDynamicSpanner {
  public:
   FullyDynamicSpanner(size_t n, const std::vector<Edge>& initial,
                       const FullyDynamicSpannerConfig& cfg);
 
-  size_t num_vertices() const { return n_; }
-  size_t num_edges() const { return index_.size(); }
-  size_t spanner_size() const;
-  std::vector<Edge> spanner_edges() const;
-  bool has_edge(Edge e) const { return index_.contains(e.key()); }
+  size_t num_vertices() const { return bs_.num_vertices(); }
+  size_t num_edges() const { return bs_.num_edges(); }
+  size_t spanner_size() const { return bs_.output_size(); }
+  std::vector<Edge> spanner_edges() const { return bs_.outputs(); }
+  bool has_edge(Edge e) const { return bs_.has_edge(e); }
 
   /// Applies one batch of updates (deletions first, then insertions;
   /// duplicates and no-ops are filtered). Returns the net spanner diff,
   /// sorted by canonical edge key on both sides.
   SpannerDiff update(const std::vector<Edge>& insertions,
-                     const std::vector<Edge>& deletions);
+                     const std::vector<Edge>& deletions) {
+    return bs_.update(insertions, deletions);
+  }
 
   /// Convenience wrappers.
   SpannerDiff insert_edges(const std::vector<Edge>& ins) {
@@ -73,67 +95,17 @@ class FullyDynamicSpanner {
   }
 
   /// Number of partitions currently allocated.
-  size_t num_partitions() const { return parts_.size(); }
+  size_t num_partitions() const { return bs_.num_partitions(); }
 
   /// Number of decremental-instance rebuilds so far (amortization witness).
-  uint64_t rebuilds() const { return rebuilds_; }
+  uint64_t rebuilds() const { return bs_.rebuilds(); }
 
   /// Oracle: Invariant B1, Index consistency, sub-structure invariants,
   /// and spanner-union consistency. Expensive; for tests.
-  bool check_invariants() const;
+  bool check_invariants() const { return bs_.check_invariants(); }
 
  private:
-  struct Partition {
-    FlatHashSet<EdgeKey> edges;  // alive edges assigned here
-    std::unique_ptr<DecrementalClusterSpanner> spanner;  // null for E_0
-  };
-
-  /// One pending partition rebuild: slot, derived seed, and the merged
-  /// (sorted, unique) edge keys. Jobs target disjoint slots, so their
-  /// instance constructions run concurrently; `built` is filled by the
-  /// parallel build phase and installed serially in job order. A later
-  /// chunk of the same batch may absorb a slot whose job has not been
-  /// built yet — the job is then `cancelled` and its edges move into the
-  /// larger merge (it contributed nothing to the diff yet, so no delta
-  /// accounting is rolled back).
-  struct RebuildJob {
-    uint32_t j = 0;
-    uint64_t seed = 0;
-    bool cancelled = false;
-    std::vector<EdgeKey> merged;
-    std::unique_ptr<DecrementalClusterSpanner> built;
-  };
-
-  /// Index value marking an edge accepted this batch but not yet assigned
-  /// to a partition (set by prepare_rebuild / the E_0 append path).
-  static constexpr uint32_t kUnassigned = static_cast<uint32_t>(-1);
-
-  /// Capacity 2^{i+l0} of partition i.
-  size_t capacity(size_t i) const { return size_t{1} << (i + l0_); }
-
-  void ensure_parts(size_t j);
-
-  /// Phase 1 of a rebuild into slot j: empties partitions lo..j-1,
-  /// accounts their departing spanner contributions, merges their edges
-  /// with `fresh` via one parallel sort, installs the Index/partition
-  /// membership — and queues the (expensive) decremental-instance
-  /// construction as a RebuildJob instead of running it inline.
-  void prepare_rebuild(size_t j, size_t lo, std::vector<EdgeKey> fresh,
-                       std::vector<RebuildJob>& jobs);
-
-  void absorb_diff(const SpannerDiff& d) {
-    for (const Edge& e : d.inserted) delta_.add(e.key());
-    for (const Edge& e : d.removed) delta_.remove(e.key());
-  }
-
-  size_t n_ = 0;
-  FullyDynamicSpannerConfig cfg_;
-  uint32_t l0_ = 0;
-  std::vector<Partition> parts_;
-  FlatHashMap<EdgeKey, uint32_t> index_;  // alive edge -> partition
-  DiffAccumulator delta_;                 // per-batch diff (DESIGN.md §6.4)
-  uint64_t rebuilds_ = 0;
-  uint64_t instance_counter_ = 0;  // fresh seeds for rebuilt instances
+  BentleySaxe<ClusterSpannerPartitions> bs_;
 };
 
 }  // namespace parspan

@@ -12,63 +12,48 @@
 
 namespace parspan {
 
-namespace {
-
-/// One signed weighted-diff event, weight packed as raw bits so events sort
-/// and net as plain integers.
-struct WEvent {
-  EdgeKey key;
-  uint64_t wbits;
-  int32_t sgn;
-};
-
 /// Packs an event, normalizing the weight first: -0.0 is folded into +0.0
 /// (they compare equal but differ in bit pattern, so keying raw bits would
 /// split one weight class into two and a cancel-out could emit both an
 /// insert and a remove for the same edge), and NaN weights are rejected —
 /// NaN != NaN would make the weight class unmatchable forever.
-WEvent wevent(Edge e, double w, int32_t sgn) {
+void WeightedNetter::push(Edge e, double w, int32_t sgn) {
   assert(!std::isnan(w) && "sparsifier weights must be numbers");
   if (w == 0.0) w = 0.0;  // +0.0 and -0.0 share a class
   uint64_t wbits;
   std::memcpy(&wbits, &w, sizeof(wbits));
-  return WEvent{e.key(), wbits, sgn};
+  events_.push_back(Event{e.key(), wbits, sgn});
 }
 
-/// Nets raw weighted-diff events by (edge, weight) class: one parallel sort
-/// over the packed tuples, then a run scan (DESIGN.md §7.3). Output sides
-/// are (key, weight-bits)-sorted; all stage weights are positive, so bit
-/// order is numeric order.
-WeightedDiff net_weighted(std::vector<WEvent>& events) {
-  parallel_sort(events, [](const WEvent& a, const WEvent& b) {
+void WeightedNetter::absorb(const SpannerDiff& d, double w) {
+  for (const Edge& e : d.removed) push(e, w, -1);
+  for (const Edge& e : d.inserted) push(e, w, +1);
+}
+
+WeightedDiff WeightedNetter::drain() {
+  parallel_sort(events_, [](const Event& a, const Event& b) {
     return a.key != b.key ? a.key < b.key : a.wbits < b.wbits;
   });
   WeightedDiff out;
-  for (size_t i = 0; i < events.size();) {
+  for (size_t i = 0; i < events_.size();) {
     size_t j = i;
     int32_t c = 0;
-    while (j < events.size() && events[j].key == events[i].key &&
-           events[j].wbits == events[i].wbits)
-      c += events[j++].sgn;
+    while (j < events_.size() && events_[j].key == events_[i].key &&
+           events_[j].wbits == events_[i].wbits)
+      c += events_[j++].sgn;
     if (c != 0) {
       assert(c == 1 || c == -1);
       double w;
-      std::memcpy(&w, &events[i].wbits, sizeof(w));
-      WeightedEdge we{edge_from_key(events[i].key), w};
+      std::memcpy(&w, &events_[i].wbits, sizeof(w));
+      WeightedEdge we{edge_from_key(events_[i].key), w};
       if (c > 0) out.inserted.push_back(we);
       else out.removed.push_back(we);
     }
     i = j;
   }
+  events_.clear();
   return out;
 }
-
-void emit(std::vector<WEvent>& events, const SpannerDiff& d, double w) {
-  for (const Edge& e : d.removed) events.push_back(wevent(e, w, -1));
-  for (const Edge& e : d.inserted) events.push_back(wevent(e, w, +1));
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // DecrementalSparsifier
@@ -77,17 +62,22 @@ void emit(std::vector<WEvent>& events, const SpannerDiff& d, double w) {
 DecrementalSparsifier::DecrementalSparsifier(size_t n,
                                              const std::vector<Edge>& edges,
                                              const SparsifierConfig& cfg)
+    : DecrementalSparsifier(n, FromSortedKeys{}, canonical_edge_keys(n, edges),
+                            cfg) {}
+
+DecrementalSparsifier::DecrementalSparsifier(
+    size_t n, FromSortedKeys, const std::vector<EdgeKey>& sorted_keys,
+    const SparsifierConfig& cfg)
     : n_(n), cfg_(cfg) {
   coin_seed_ = hash_combine(cfg.seed, 0xc01);
   uint32_t max_stages = cfg.max_stages;
   if (max_stages == 0) {
-    size_t m = std::max<size_t>(edges.size(), 2);
+    size_t m = std::max<size_t>(sorted_keys.size(), 2);
     max_stages = uint32_t(std::ceil(std::log2(double(m)))) + 1;
   }
-  std::vector<EdgeKey> keys = canonical_edge_keys(n, edges);
   std::vector<Edge> cur;
-  cur.reserve(keys.size());
-  for (EdgeKey ek : keys) cur.push_back(edge_from_key(ek));
+  cur.reserve(sorted_keys.size());
+  for (EdgeKey ek : sorted_keys) cur.push_back(edge_from_key(ek));
   // The chain is serial by definition (stage j+1 samples stage j's
   // residual); each stage's bundle parallelizes internally.
   for (uint32_t j = 0; j < max_stages; ++j) {
@@ -141,10 +131,9 @@ std::vector<WeightedEdge> DecrementalSparsifier::sparsifier_edges() const {
   return out;
 }
 
-WeightedDiff DecrementalSparsifier::delete_edges(
-    const std::vector<Edge>& batch) {
+WeightedDiff DecrementalSparsifier::delete_edges(std::span<const Edge> batch) {
   size_t K = stages_.size();
-  std::vector<WEvent> events;
+  WeightedNetter net;
 
   // The two-round scheme below runs at every worker count, including one.
   // It is NOT interchangeable with the classic one-call-per-stage serial
@@ -161,7 +150,7 @@ WeightedDiff DecrementalSparsifier::delete_edges(
   // glob[j]: batch edges surviving coins 0..j-1 — stage j's share of the
   // *global* deletions, computable up front.
   std::vector<std::vector<Edge>> glob(K + 1);
-  glob[0] = batch;
+  glob[0].assign(batch.begin(), batch.end());
   for (size_t j = 0; j < K; ++j) {
     glob[j + 1].reserve(glob[j].size() / 3);
     for (const Edge& e : glob[j])
@@ -185,11 +174,11 @@ WeightedDiff DecrementalSparsifier::delete_edges(
   std::vector<Edge> carry;  // absorbed upstream, coin-filtered to stage j
   for (size_t j = 0; j < K; ++j) {
     double w = stage_weight(uint32_t(j));
-    emit(events, d1[j], w);
+    net.absorb(d1[j], w);
     SpannerDiff d2;
     if (!carry.empty()) {
       d2 = stages_[j]->delete_edges(carry);
-      emit(events, d2, w);
+      net.absorb(d2, w);
     }
     std::vector<Edge> next;
     for (const Edge& e : carry)
@@ -205,10 +194,10 @@ WeightedDiff DecrementalSparsifier::delete_edges(
   // last stage's absorption fallout.
   double wf = stage_weight(uint32_t(K));
   for (const Edge& e : glob[K])
-    if (final_.erase(e.key())) events.push_back(wevent(e, wf, -1));
+    if (final_.erase(e.key())) net.remove({e, wf});
   for (const Edge& e : carry)
-    if (final_.erase(e.key())) events.push_back(wevent(e, wf, -1));
-  return net_weighted(events);
+    if (final_.erase(e.key())) net.remove({e, wf});
+  return net.drain();
 }
 
 bool DecrementalSparsifier::check_invariants() const {
@@ -248,205 +237,31 @@ bool DecrementalSparsifier::check_invariants() const {
 // FullyDynamicSparsifier (Theorem 1.6)
 // ---------------------------------------------------------------------------
 
+template class BentleySaxe<SparsifierPartitions>;
+
+std::unique_ptr<DecrementalSparsifier> SparsifierPartitions::build(
+    size_t n, std::vector<EdgeKey> sorted_keys, uint64_t seed) const {
+  SparsifierConfig sc = stage;
+  sc.seed = seed;
+  return std::make_unique<DecrementalSparsifier>(
+      n, DecrementalSparsifier::FromSortedKeys{}, sorted_keys, sc);
+}
+
+namespace {
+
+/// Invariant B2's base exponent: the smallest l0 with 2^{l0} >= n.
+uint32_t base_exponent(size_t n) {
+  uint32_t l0 = 0;
+  while ((size_t{1} << l0) < std::max<size_t>(n, 2)) ++l0;
+  return l0;
+}
+
+}  // namespace
+
 FullyDynamicSparsifier::FullyDynamicSparsifier(
     size_t n, const std::vector<Edge>& initial,
     const FullyDynamicSparsifierConfig& cfg)
-    : n_(n), cfg_(cfg) {
-  // Invariant B2: 2^{l0} >= n.
-  l0_ = 0;
-  while ((size_t{1} << l0_) < std::max<size_t>(n, 2)) ++l0_;
-  std::vector<Edge> edges;
-  for (const Edge& e : initial) {
-    if (e.u == e.v || e.u >= n || e.v >= n) continue;
-    if (index_.contains(e.key())) continue;
-    index_[e.key()] = 0;
-    edges.push_back(e);
-  }
-  size_t j = 0;
-  while (capacity(j) < edges.size()) ++j;
-  ensure_parts(j);
-  for (const Edge& e : edges) {
-    parts_[j].edges.insert(e.key());
-    index_[e.key()] = uint32_t(j);
-  }
-  if (j > 0 && !edges.empty()) {
-    SparsifierConfig sc = cfg_.stage;
-    sc.seed = hash_combine(cfg_.seed, ++instance_counter_);
-    parts_[j].sp = std::make_unique<DecrementalSparsifier>(n_, edges, sc);
-  }
-}
-
-void FullyDynamicSparsifier::ensure_parts(size_t j) {
-  while (parts_.size() <= j) parts_.emplace_back();
-}
-
-size_t FullyDynamicSparsifier::size() const {
-  size_t s = 0;
-  for (size_t i = 0; i < parts_.size(); ++i) {
-    if (i == 0 || !parts_[i].sp)
-      s += parts_[i].edges.size();
-    else
-      s += parts_[i].sp->size();
-  }
-  return s;
-}
-
-std::vector<WeightedEdge> FullyDynamicSparsifier::sparsifier_edges() const {
-  std::vector<WeightedEdge> out;
-  for (size_t i = 0; i < parts_.size(); ++i) {
-    if (i == 0 || !parts_[i].sp) {
-      for (EdgeKey ek : parts_[i].edges.sorted_keys())
-        out.push_back({edge_from_key(ek), 1.0});
-    } else {
-      auto h = parts_[i].sp->sparsifier_edges();
-      out.insert(out.end(), h.begin(), h.end());
-    }
-  }
-  return out;
-}
-
-void FullyDynamicSparsifier::rebuild_into(size_t j, size_t lo,
-                                          const std::vector<Edge>& fresh,
-                                          WeightedDiff& diff) {
-  ensure_parts(j);
-  assert(parts_[j].edges.empty());
-  std::vector<Edge> merged = fresh;
-  for (size_t i = lo; i < j; ++i) {
-    Partition& p = parts_[i];
-    if (p.edges.empty()) {
-      p.sp.reset();
-      continue;
-    }
-    std::vector<EdgeKey> keys = p.edges.sorted_keys();
-    if (i == 0 || !p.sp) {
-      for (EdgeKey ek : keys) diff.removed.push_back({edge_from_key(ek), 1.0});
-    } else {
-      auto h = p.sp->sparsifier_edges();
-      diff.removed.insert(diff.removed.end(), h.begin(), h.end());
-    }
-    for (EdgeKey ek : keys) merged.push_back(edge_from_key(ek));
-    p.edges.clear();
-    p.sp.reset();
-  }
-  assert(merged.size() <= capacity(j));
-  for (const Edge& e : merged) {
-    parts_[j].edges.insert(e.key());
-    index_[e.key()] = uint32_t(j);
-  }
-  if (j == 0) {
-    for (const Edge& e : merged) diff.inserted.push_back({e, 1.0});
-    return;
-  }
-  SparsifierConfig sc = cfg_.stage;
-  sc.seed = hash_combine(cfg_.seed, ++instance_counter_);
-  parts_[j].sp = std::make_unique<DecrementalSparsifier>(n_, merged, sc);
-  auto h = parts_[j].sp->sparsifier_edges();
-  diff.inserted.insert(diff.inserted.end(), h.begin(), h.end());
-}
-
-WeightedDiff FullyDynamicSparsifier::update(
-    const std::vector<Edge>& insertions, const std::vector<Edge>& deletions) {
-  WeightedDiff work;
-
-  // Deletions routed through Index (serial), then applied per partition in
-  // parallel — partitions are disjoint structures (§6.1's discipline), and
-  // the per-partition diffs merge serially in partition order.
-  std::vector<std::vector<Edge>> per_part(parts_.size());
-  for (const Edge& e : deletions) {
-    uint32_t* it = index_.find(e.key());
-    if (it == nullptr) continue;
-    per_part[*it].push_back(e);
-    index_.erase(e.key());
-  }
-  std::vector<WeightedDiff> pdiffs(parts_.size());
-  parallel_for(
-      0, per_part.size(),
-      [&](size_t i) {
-        if (per_part[i].empty()) return;
-        Partition& p = parts_[i];
-        for (const Edge& e : per_part[i]) p.edges.erase(e.key());
-        if (i == 0 || !p.sp) {
-          for (const Edge& e : per_part[i])
-            pdiffs[i].removed.push_back({e, 1.0});
-        } else {
-          pdiffs[i] = p.sp->delete_edges(per_part[i]);
-        }
-      },
-      1);
-  for (const WeightedDiff& d : pdiffs) {
-    work.inserted.insert(work.inserted.end(), d.inserted.begin(),
-                         d.inserted.end());
-    work.removed.insert(work.removed.end(), d.removed.begin(),
-                        d.removed.end());
-  }
-
-  // Insertions: Bentley-Saxe merge (as in Theorem 1.1, with B2 capacities).
-  std::vector<Edge> u;
-  for (const Edge& e : insertions) {
-    if (e.u == e.v || e.u >= n_ || e.v >= n_) continue;
-    if (index_.contains(e.key())) continue;
-    index_[e.key()] = uint32_t(-1);
-    u.push_back(e);
-  }
-  if (!u.empty()) {
-    size_t remaining = u.size(), pos = 0;
-    int bmax = 0;
-    while (capacity(size_t(bmax) + 1) <= remaining) ++bmax;
-    for (int i = bmax; i >= 0; --i) {
-      size_t chunk = capacity(size_t(i));
-      if (remaining < chunk) continue;
-      std::vector<Edge> ui(u.begin() + pos, u.begin() + pos + chunk);
-      pos += chunk;
-      remaining -= chunk;
-      size_t j = size_t(i);
-      while (j < parts_.size() && !parts_[j].edges.empty()) ++j;
-      rebuild_into(j, size_t(i), ui, work);
-    }
-    if (remaining > 0) {
-      std::vector<Edge> ur(u.begin() + pos, u.end());
-      ensure_parts(0);
-      if (parts_[0].edges.size() + ur.size() <= capacity(0)) {
-        for (const Edge& e : ur) {
-          parts_[0].edges.insert(e.key());
-          index_[e.key()] = 0;
-          work.inserted.push_back({e, 1.0});
-        }
-      } else {
-        size_t j = 0;
-        while (j < parts_.size() && !parts_[j].edges.empty()) ++j;
-        rebuild_into(j, 0, ur, work);
-      }
-    }
-  }
-
-  std::vector<WEvent> events;
-  events.reserve(work.inserted.size() + work.removed.size());
-  for (const WeightedEdge& we : work.inserted)
-    events.push_back(wevent(we.e, we.w, +1));
-  for (const WeightedEdge& we : work.removed)
-    events.push_back(wevent(we.e, we.w, -1));
-  return net_weighted(events);
-}
-
-bool FullyDynamicSparsifier::check_invariants() const {
-  size_t total = 0;
-  for (size_t i = 0; i < parts_.size(); ++i) {
-    const Partition& p = parts_[i];
-    if (p.edges.size() > capacity(i)) return false;  // Invariant B2
-    total += p.edges.size();
-    bool ok = true;
-    p.edges.for_each([&](EdgeKey ek) {
-      const uint32_t* it = index_.find(ek);
-      if (it == nullptr || *it != i) ok = false;
-    });
-    if (!ok) return false;
-    if (i >= 1 && p.sp) {
-      if (!p.sp->check_invariants()) return false;
-      if (p.sp->alive_edges() != p.edges.size()) return false;
-    }
-    if (i >= 1 && !p.sp && !p.edges.empty()) return false;
-  }
-  return total == index_.size();
-}
+    : bs_(n, base_exponent(n), initial, cfg.seed,
+          SparsifierPartitions{cfg.stage}) {}
 
 }  // namespace parspan

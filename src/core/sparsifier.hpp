@@ -21,7 +21,9 @@
 // sorted and independent of the stage schedule.
 //
 // FullyDynamicSparsifier applies the Bentley-Saxe reduction of Theorem 1.6
-// (Invariant B2, Lemma 6.7: unions of (1±ε)-sparsifiers sparsify unions).
+// (Invariant B2, Lemma 6.7: unions of (1±ε)-sparsifiers sparsify unions)
+// through the shared BentleySaxe core (core/bentley_saxe.hpp, DESIGN.md
+// §6.1); E_0 edges carry weight 1.
 //
 // The bundle depth t controls quality: the theorem's
 // t = O(ε^{-2} log^2 m log^3 n) constants are far beyond practical sizes,
@@ -30,9 +32,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "container/flat_map.hpp"
+#include "core/bentley_saxe.hpp"
 #include "core/bundle.hpp"
 #include "verify/laplacian.hpp"
 
@@ -46,12 +50,37 @@ struct WeightedDiff {
   std::vector<WeightedEdge> removed;
 };
 
+/// Nets signed weighted-diff events by (edge, weight) class: one parallel
+/// sort over packed (key, weight-bits) tuples, then a run scan (DESIGN.md
+/// §7.3). Output sides are (key, weight-bits)-sorted; all stage weights are
+/// positive, so bit order is numeric order.
+class WeightedNetter {
+ public:
+  void add(const WeightedEdge& we) { push(we.e, we.w, +1); }
+  void remove(const WeightedEdge& we) { push(we.e, we.w, -1); }
+  /// Adds a stage's unweighted diff at weight w.
+  void absorb(const SpannerDiff& d, double w);
+  bool empty() const { return events_.empty(); }
+  /// Compiles the net diff and leaves the netter empty.
+  WeightedDiff drain();
+
+ private:
+  struct Event {
+    EdgeKey key;
+    uint64_t wbits;
+    int32_t sgn;
+  };
+  void push(Edge e, double w, int32_t sgn);
+  std::vector<Event> events_;
+};
+
 struct SparsifierConfig {
   /// Bundle depth per stage (quality knob; see header comment).
   uint32_t t = 3;
   /// Per-stage keep probability for the residual sampling.
   double sample_rate = 0.25;
-  /// Maximum number of stages; 0 means ceil(log2 m) + 1.
+  /// Maximum number of stages; 0 means ceil(log2 m) + 1 for m distinct
+  /// edges.
   uint32_t max_stages = 0;
   /// Stop chaining when a stage has at most this many edges (the paper's
   /// "less than O(log n) edges" break).
@@ -67,6 +96,16 @@ class DecrementalSparsifier {
   DecrementalSparsifier(size_t n, const std::vector<Edge>& edges,
                         const SparsifierConfig& cfg);
 
+  /// Tag selecting the pre-canonicalized construction path.
+  struct FromSortedKeys {};
+
+  /// Construction from canonical edge keys, sorted ascending and unique
+  /// (the output format of canonical_edge_keys). Skips the dedup sort, as
+  /// the Bentley-Saxe rebuild has already produced this representation.
+  DecrementalSparsifier(size_t n, FromSortedKeys,
+                        const std::vector<EdgeKey>& sorted_keys,
+                        const SparsifierConfig& cfg);
+
   size_t num_vertices() const { return n_; }
   size_t size() const;
   std::vector<WeightedEdge> sparsifier_edges() const;
@@ -74,7 +113,7 @@ class DecrementalSparsifier {
   size_t alive_edges() const;
 
   /// Deletes a batch of edges; returns the net weighted diff.
-  WeightedDiff delete_edges(const std::vector<Edge>& batch);
+  WeightedDiff delete_edges(std::span<const Edge> batch);
 
   bool check_invariants() const;
 
@@ -94,39 +133,51 @@ struct FullyDynamicSparsifierConfig {
   uint64_t seed = 1;
 };
 
+/// BentleySaxe policy of Theorem 1.6: DecrementalSparsifier partitions,
+/// weighted outputs netted by a WeightedNetter.
+struct SparsifierPartitions {
+  using Instance = DecrementalSparsifier;
+  using Out = WeightedEdge;
+  using Netter = WeightedNetter;
+
+  SparsifierConfig stage;
+
+  std::unique_ptr<Instance> build(size_t n, std::vector<EdgeKey> sorted_keys,
+                                  uint64_t seed) const;
+  static std::vector<WeightedEdge> outputs(const Instance& s) {
+    return s.sparsifier_edges();
+  }
+  static size_t output_size(const Instance& s) { return s.size(); }
+  static WeightedEdge unit(EdgeKey ek) { return {edge_from_key(ek), 1.0}; }
+  static EdgeKey key(const WeightedEdge& we) { return we.e.key(); }
+};
+
+extern template class BentleySaxe<SparsifierPartitions>;
+
 class FullyDynamicSparsifier {
  public:
   FullyDynamicSparsifier(size_t n, const std::vector<Edge>& initial,
                          const FullyDynamicSparsifierConfig& cfg);
 
-  size_t num_vertices() const { return n_; }
-  size_t num_edges() const { return index_.size(); }
-  size_t size() const;
-  std::vector<WeightedEdge> sparsifier_edges() const;
+  size_t num_vertices() const { return bs_.num_vertices(); }
+  size_t num_edges() const { return bs_.num_edges(); }
+  size_t size() const { return bs_.output_size(); }
+  std::vector<WeightedEdge> sparsifier_edges() const { return bs_.outputs(); }
 
   /// Applies a batch (deletions then insertions); returns the net diff.
   WeightedDiff update(const std::vector<Edge>& insertions,
-                      const std::vector<Edge>& deletions);
+                      const std::vector<Edge>& deletions) {
+    return bs_.update(insertions, deletions);
+  }
 
-  size_t num_partitions() const { return parts_.size(); }
-  bool check_invariants() const;
+  size_t num_partitions() const { return bs_.num_partitions(); }
+  /// Number of decremental-instance rebuilds so far.
+  uint64_t rebuilds() const { return bs_.rebuilds(); }
+  /// Oracle: Invariant B2, Index consistency, sub-structure invariants.
+  bool check_invariants() const { return bs_.check_invariants(); }
 
  private:
-  struct Partition {
-    FlatHashSet<EdgeKey> edges;
-    std::unique_ptr<DecrementalSparsifier> sp;  // null for E_0
-  };
-  size_t capacity(size_t i) const { return size_t{1} << (i + l0_); }
-  void ensure_parts(size_t j);
-  void rebuild_into(size_t j, size_t lo, const std::vector<Edge>& fresh,
-                    WeightedDiff& diff);
-
-  size_t n_ = 0;
-  FullyDynamicSparsifierConfig cfg_;
-  uint32_t l0_ = 0;
-  std::vector<Partition> parts_;
-  FlatHashMap<EdgeKey, uint32_t> index_;
-  uint64_t instance_counter_ = 0;
+  BentleySaxe<SparsifierPartitions> bs_;
 };
 
 }  // namespace parspan

@@ -1,5 +1,5 @@
-// Unit + randomized oracle tests for CountedTreap, PriorityList (Lemma 3.1
-// interface), ShardedMap and ConcurrentFixedMap.
+// Unit + randomized oracle tests for CountedTreap, the flat tables and
+// ConcurrentFixedMap.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -9,7 +9,6 @@
 #include "container/concurrent_map.hpp"
 #include "container/counted_treap.hpp"
 #include "container/flat_map.hpp"
-#include "container/priority_list.hpp"
 #include "parallel/parallel_for.hpp"
 #include "util/rng.hpp"
 
@@ -225,83 +224,6 @@ TEST(FlatHashSet, InsertEraseAnyMember) {
   std::set<uint32_t> seen;
   s.for_each([&](uint32_t k) { seen.insert(k); });
   EXPECT_EQ(seen.size(), 1u);
-}
-
-TEST(PriorityList, PaperInterfaceSemantics) {
-  // Elements 'a'..'e' with priorities 50,40,30,20,10.
-  std::vector<std::pair<char, uint64_t>> init = {
-      {'a', 50}, {'b', 40}, {'c', 30}, {'d', 20}, {'e', 10}};
-  PriorityList<char> pl(init);
-  EXPECT_EQ(pl.size(), 5u);
-  EXPECT_EQ(pl.query(1).second, 'a');
-  EXPECT_EQ(pl.query(5).second, 'e');
-  auto [val, rank] = pl.find(30);
-  ASSERT_TRUE(val.has_value());
-  EXPECT_EQ(*val, 'c');
-  EXPECT_EQ(rank, 3u);
-
-  // UpdatePriority moves 'a' (pos 1) to priority 15 -> new order b,c,d,a,e.
-  pl.update_priority(1, 15);
-  EXPECT_EQ(pl.query(1).second, 'b');
-  EXPECT_EQ(pl.query(4).second, 'a');
-  EXPECT_EQ(pl.query(5).second, 'e');
-
-  // UpdateValue at position 2 ('c' now).
-  pl.update_value(2, 'C');
-  EXPECT_EQ(pl.query(2).second, 'C');
-}
-
-TEST(PriorityList, NextWithFindsFirstSatisfying) {
-  std::vector<std::pair<int, uint64_t>> init;
-  for (int i = 0; i < 100; ++i)
-    init.push_back({i, uint64_t(1000 - i)});  // element i at position i+1
-  PriorityList<int> pl(init);
-  // First element >= position 10 that is divisible by 7: positions are
-  // value+1; values 9,10,...; first divisible by 7 is 14 -> position 15.
-  size_t q = pl.next_with(10, [](int v) { return v % 7 == 0; });
-  EXPECT_EQ(q, 15u);
-  // Nothing satisfies -> size()+1.
-  EXPECT_EQ(pl.next_with(1, [](int) { return false; }), 101u);
-  // First element satisfies.
-  EXPECT_EQ(pl.next_with(42, [](int) { return true; }), 42u);
-}
-
-TEST(ShardedMap, BasicOps) {
-  ShardedMap<uint64_t, int> m;
-  m.insert_or_assign(1, 10);
-  m.insert_or_assign(2, 20);
-  EXPECT_EQ(m.get(1), std::optional<int>(10));
-  EXPECT_FALSE(m.get(3).has_value());
-  m.upsert(3, [](int& v) { v += 5; });
-  EXPECT_EQ(m.get(3), std::optional<int>(5));
-  EXPECT_TRUE(m.erase(2));
-  EXPECT_FALSE(m.erase(2));
-  EXPECT_EQ(m.size(), 2u);
-}
-
-TEST(ShardedMap, ParallelInsertsAllLand) {
-  ShardedMap<uint64_t, uint64_t> m(64);
-  const size_t n = 100000;
-  parallel_for(0, n, [&](size_t i) { m.insert_or_assign(i, i * 3); }, 1);
-  EXPECT_EQ(m.size(), n);
-  for (size_t i = 0; i < n; i += 997) EXPECT_EQ(m.get(i), i * 3);
-}
-
-TEST(ShardedMap, UpdateOrErase) {
-  ShardedMap<int, int> m;
-  m.insert_or_assign(1, 5);
-  EXPECT_TRUE(m.update_or_erase(1, [](int& v) {
-    --v;
-    return v > 0;
-  }));
-  EXPECT_EQ(m.get(1), std::optional<int>(4));
-  for (int i = 0; i < 4; ++i)
-    m.update_or_erase(1, [](int& v) {
-      --v;
-      return v > 0;
-    });
-  EXPECT_FALSE(m.contains(1));
-  EXPECT_FALSE(m.update_or_erase(1, [](int&) { return true; }));
 }
 
 TEST(ConcurrentFixedMap, InsertFind) {
