@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Runs the perf-gating Google Benchmark binaries and records JSON results at
 # the repo root, seeding the perf trajectory tracked across PRs:
-#   BENCH_spanner.json     — spanner construction + churn + update throughput
+#   BENCH_spanner.json     — Theorem 1.1 batch updates vs batch size (E3)
+#                            beside a Baswana-Sen recompute after every
+#                            batch (E9), 5 repetitions, aggregates only
+#                            (the paper's structures end to end are
+#                            measured by perfbench/, not here)
 #   BENCH_primitives.json  — scan / sort / pack substrate microbenchmarks
 #   BENCH_scheduler.json   — work-stealing scheduler: fork-join task
 #                            overhead vs the serial floor, steal
 #                            throughput, parallel_for/reduce/sort medians
-#   BENCH_extensions.json  — Theorems 1.4-1.6 (ultra / bundle / sparsifier)
-#                            size + batch-update throughput
 #   BENCH_service.json     — serving layer: mixed read/write throughput vs
 #                            reader count, incremental publish vs re-export
 #   BENCH_sharded.json     — sharded ingestion: shard-count x writer-count
@@ -58,17 +60,16 @@ EOF
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 
-echo "== spanner benches =="
-"$build_dir/bench_cluster_churn" \
-  --benchmark_format=json \
-  --benchmark_filter='BM_ClusterConstruct' \
-  --benchmark_min_time=2 \
-  >"$tmpdir/bench_cluster_construct.tmp.json"
+echo "== spanner benches (batch-size sweep + static recompute) =="
+# Single-iteration rows over a 40-batch stream: repeat them and keep the
+# aggregates (median, stddev, cv) so each row carries its own spread.
 "$build_dir/bench_spanner_updates" \
   --benchmark_format=json \
+  --benchmark_repetitions=5 \
+  --benchmark_report_aggregates_only=true \
+  --benchmark_enable_random_interleaving=true \
   >"$tmpdir/bench_spanner_updates.tmp.json"
-merge "$tmpdir/bench_cluster_construct.tmp.json" \
-      "$tmpdir/bench_spanner_updates.tmp.json" \
+merge "$tmpdir/bench_spanner_updates.tmp.json" \
   >"$repo_root/BENCH_spanner.json"
 echo "wrote $repo_root/BENCH_spanner.json"
 
@@ -83,25 +84,6 @@ merge "$tmpdir/bench_primitives.tmp.json" \
       "$tmpdir/bench_containers.tmp.json" \
   >"$repo_root/BENCH_primitives.json"
 echo "wrote $repo_root/BENCH_primitives.json"
-
-echo "== extension benches (Theorems 1.4-1.6) =="
-"$build_dir/bench_ultra_sparse" \
-  --benchmark_format=json \
-  --benchmark_filter='BM_UltraUpdates' \
-  >"$tmpdir/bench_ultra_sparse.tmp.json"
-"$build_dir/bench_bundle" \
-  --benchmark_format=json \
-  --benchmark_filter='BM_MonotoneDecremental' \
-  >"$tmpdir/bench_bundle.tmp.json"
-"$build_dir/bench_sparsifier" \
-  --benchmark_format=json \
-  --benchmark_filter='BM_SparsifierUpdates' \
-  >"$tmpdir/bench_sparsifier.tmp.json"
-merge "$tmpdir/bench_ultra_sparse.tmp.json" \
-      "$tmpdir/bench_bundle.tmp.json" \
-      "$tmpdir/bench_sparsifier.tmp.json" \
-  >"$repo_root/BENCH_extensions.json"
-echo "wrote $repo_root/BENCH_extensions.json"
 
 echo "== scheduler benches (fork-join overhead + steal throughput) =="
 "$build_dir/bench_scheduler" \

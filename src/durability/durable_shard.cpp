@@ -66,6 +66,7 @@ std::unique_ptr<ShardDurability> ShardDurability::create(
   d->last_ckpt_version_ = version;
   d->ckpt_versions_.push_back(version);
   if (!d->open_segment(version)) return nullptr;
+  d->publish_durable();
   return d;
 }
 
@@ -83,6 +84,7 @@ bool ShardDurability::log_record(const WalRecord& rec) {
     failed_ = true;
     return false;
   }
+  publish_durable();
   ++records_logged_;
   ++records_since_ckpt_;
   return true;
@@ -108,6 +110,7 @@ bool ShardDurability::checkpoint_now(uint64_t version,
     failed_ = true;
     return false;
   }
+  publish_durable();
   Checkpoint ckpt;
   ckpt.version = version;
   ckpt.n = n_;
@@ -122,6 +125,7 @@ bool ShardDurability::checkpoint_now(uint64_t version,
   last_ckpt_version_ = version;
   ckpt_versions_.push_back(version);
   records_since_ckpt_ = 0;
+  publish_durable();
   // Rotate BEFORE GC: the new segment must exist before anything old goes.
   if (!open_segment(version)) return false;
   gc_old_files();
@@ -141,10 +145,10 @@ void ShardDurability::gc_old_files() {
       fs_->remove(dir_ + "/" + name);
 }
 
-uint64_t ShardDurability::durable_version() const {
+void ShardDurability::publish_durable() {
   uint64_t v = last_ckpt_version_;
   if (wal_ != nullptr) v = std::max(v, wal_->synced_version());
-  return v;
+  durable_.store(v, std::memory_order_release);
 }
 
 std::optional<ShardDurability::Recovered> ShardDurability::recover(
@@ -237,6 +241,7 @@ std::optional<ShardDurability::Recovered> ShardDurability::recover(
   d->records_since_ckpt_ = out.version - d->last_ckpt_version_;
   d->open_segment(out.version);  // failure leaves d sticky-failed; state is
                                  // still good — the caller decides.
+  d->publish_durable();
   out.dur = std::move(d);
   return out;
 }

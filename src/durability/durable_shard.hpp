@@ -25,6 +25,7 @@
 // files never confuse recovery.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -110,8 +111,12 @@ class ShardDurability {
   bool failed() const { return failed_; }
 
   /// Highest version guaranteed durable: covered by a synced WAL frame or
-  /// a committed checkpoint. The crash sweep's recovery lower bound.
-  uint64_t durable_version() const;
+  /// a committed checkpoint. The crash sweep's recovery lower bound. Safe
+  /// to call from any thread (replica nodes read it while the shard's
+  /// drain task logs); it loads a watermark the logging thread publishes.
+  uint64_t durable_version() const {
+    return durable_.load(std::memory_order_acquire);
+  }
 
   uint64_t records_logged() const { return records_logged_; }
 
@@ -128,6 +133,9 @@ class ShardDurability {
 
   bool open_segment(uint64_t base_version);
   void gc_old_files();
+  /// Stores the watermark durable_version() reads; called by the logging
+  /// thread after every sync or checkpoint.
+  void publish_durable();
 
   std::shared_ptr<Fs> fs_;
   std::string dir_;
@@ -141,6 +149,7 @@ class ShardDurability {
   uint64_t records_since_ckpt_ = 0;
   uint64_t records_logged_ = 0;
   std::vector<uint64_t> ckpt_versions_;  // committed, ascending
+  std::atomic<uint64_t> durable_{0};
 };
 
 }  // namespace parspan

@@ -53,30 +53,6 @@ std::vector<Edge> gen_erdos_renyi(size_t n, size_t m, uint64_t seed) {
   return canonicalize(std::move(all));
 }
 
-std::vector<Edge> gen_rmat(size_t n, size_t m, uint64_t seed, double a,
-                           double b, double c) {
-  size_t bits = 1;
-  while ((size_t{1} << bits) < n) ++bits;
-  Rng rng(seed);
-  std::unordered_set<EdgeKey> chosen;
-  chosen.reserve(2 * m);
-  size_t attempts = 0, max_attempts = 100 * m + 1000;
-  while (chosen.size() < m && attempts++ < max_attempts) {
-    size_t u = 0, v = 0;
-    for (size_t i = 0; i < bits; ++i) {
-      double r = rng.next_double();
-      size_t ubit = (r >= a + b) ? 1 : 0;
-      size_t vbit = (r >= a && r < a + b) || (r >= a + b + c) ? 1 : 0;
-      u = (u << 1) | ubit;
-      v = (v << 1) | vbit;
-    }
-    if (u >= n || v >= n || u == v) continue;
-    chosen.insert(edge_key(VertexId(u), VertexId(v)));
-  }
-  std::vector<EdgeKey> keys(chosen.begin(), chosen.end());
-  return canonicalize(std::move(keys));
-}
-
 std::vector<Edge> gen_grid(size_t rows, size_t cols) {
   std::vector<Edge> out;
   out.reserve(2 * rows * cols);

@@ -17,11 +17,6 @@ namespace parspan {
 /// m distinct uniformly random edges on n vertices (Erdős–Rényi G(n, m)).
 std::vector<Edge> gen_erdos_renyi(size_t n, size_t m, uint64_t seed);
 
-/// R-MAT / power-law-ish graph: m distinct edges, recursive quadrant
-/// sampling with probabilities (a, b, c, 1-a-b-c).
-std::vector<Edge> gen_rmat(size_t n, size_t m, uint64_t seed, double a = 0.57,
-                           double b = 0.19, double c = 0.19);
-
 /// 2D grid graph on rows x cols vertices (4-neighborhood).
 std::vector<Edge> gen_grid(size_t rows, size_t cols);
 

@@ -156,11 +156,15 @@ class TaskDeque {
     struct Slot {
       std::atomic<Task*> v{nullptr};
     }* arr;
+    // The fences in push/steal already order the slot access; the
+    // release/acquire pair on the slot itself (a plain mov on x86) is what
+    // lets ThreadSanitizer, which does not model standalone fences, see the
+    // hand-off of the task's contents from the pusher to the thief.
     Task* get(int64_t i) const {
-      return arr[i & mask].v.load(std::memory_order_relaxed);
+      return arr[i & mask].v.load(std::memory_order_acquire);
     }
     void put(int64_t i, Task* t) {
-      arr[i & mask].v.store(t, std::memory_order_relaxed);
+      arr[i & mask].v.store(t, std::memory_order_release);
     }
   };
 
