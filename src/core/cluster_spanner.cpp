@@ -207,7 +207,11 @@ DecrementalClusterSpanner::DecrementalClusterSpanner(
   // --- Initial contributions. ---
   tree_contrib_.assign(n, kNoEdge);
   contrib_.reserve(2 * n);
-  for (VertexId v = 0; v < n; ++v) refresh_tree_contrib(v);
+  for (VertexId v = 0; v < n; ++v) {
+    OpEffects fx;
+    refresh_tree_contrib(v, fx);
+    replay(fx);
+  }
   groups_.assign(cfg_.intercluster ? n : 0, {});
   if (cfg_.intercluster) {
     // Bulk build: group each vertex's CSR slice by neighbor cluster, then
@@ -266,7 +270,17 @@ void DecrementalClusterSpanner::remove_contrib(EdgeKey e) {
   }
 }
 
-void DecrementalClusterSpanner::refresh_tree_contrib(VertexId v) {
+void DecrementalClusterSpanner::replay(const OpEffects& fx) {
+  for (uint8_t i = 0; i < fx.count; ++i) {
+    if (fx.removals >> i & 1u)
+      remove_contrib(fx.keys[i]);
+    else
+      add_contrib(fx.keys[i]);
+  }
+}
+
+void DecrementalClusterSpanner::refresh_tree_contrib(VertexId v,
+                                                     OpEffects& fx) {
   EdgeKey cur = kNoEdge;
   int32_t pa = es_.parent_arc(v);
   if (pa != ESTree::kNoArc) {
@@ -274,19 +288,19 @@ void DecrementalClusterSpanner::refresh_tree_contrib(VertexId v) {
     if (arc.src < n_) cur = edge_key(arc.src, v);
   }
   if (cur == tree_contrib_[v]) return;
-  if (tree_contrib_[v] != kNoEdge) remove_contrib(tree_contrib_[v]);
-  if (cur != kNoEdge) add_contrib(cur);
+  if (tree_contrib_[v] != kNoEdge) fx.remove(tree_contrib_[v]);
+  if (cur != kNoEdge) fx.add(cur);
   tree_contrib_[v] = cur;
 }
 
 void DecrementalClusterSpanner::add_membership(VertexId x, VertexId c,
-                                               VertexId other) {
+                                               VertexId other, OpEffects& fx) {
   Group* g = groups_[x].find(c);
   if (g == nullptr) {
     Group& ng = groups_[x][c];
     ng.members.push_back(other);
     ng.rep = other;
-    if (c != cluster_[x]) add_contrib(edge_key(x, other));
+    if (c != cluster_[x]) fx.add(edge_key(x, other));
   } else {
     assert(!g->contains(other));
     g->members.push_back(other);
@@ -294,18 +308,19 @@ void DecrementalClusterSpanner::add_membership(VertexId x, VertexId c,
 }
 
 void DecrementalClusterSpanner::remove_membership(VertexId x, VertexId c,
-                                                  VertexId other) {
+                                                  VertexId other,
+                                                  OpEffects& fx) {
   Group* g = groups_[x].find(c);
   assert(g != nullptr);
   if (g->erase_member(other)) {
     VertexId rep = g->rep;
-    if (c != cluster_[x]) remove_contrib(edge_key(x, rep));
+    if (c != cluster_[x]) fx.remove(edge_key(x, rep));
     groups_[x].erase(c);
   } else if (g->rep == other) {
     VertexId nr = g->members.front();
     if (c != cluster_[x]) {
-      remove_contrib(edge_key(x, other));
-      add_contrib(edge_key(x, nr));
+      fx.remove(edge_key(x, other));
+      fx.add(edge_key(x, nr));
     }
     g->rep = nr;
   }
@@ -317,63 +332,105 @@ void DecrementalClusterSpanner::flag_dirty(VertexId v, Buckets& buckets) {
   buckets[es_.dist(v)].push_back(v);
 }
 
-void DecrementalClusterSpanner::apply_cluster_change(VertexId v, VertexId newc,
-                                                     Buckets& buckets) {
-  VertexId oldc = cluster_[v];
-  assert(newc != oldc);
-  ++cluster_change_count_;
-
+void DecrementalClusterSpanner::change_own_cluster(VertexId v, VertexId oldc,
+                                                   VertexId newc,
+                                                   OpEffects& fx) {
+  assert(cluster_[v] == oldc && newc != oldc);
   if (cfg_.intercluster) {
     // Eligibility flips for v's own groups: (v, oldc) becomes eligible,
-    // (v, newc) becomes ineligible (still using cluster_[v] == oldc).
+    // (v, newc) becomes ineligible.
     auto& m = groups_[v];
-    Group* go = m.find(oldc);
-    if (go != nullptr) add_contrib(edge_key(v, go->rep));
-    Group* gn = m.find(newc);
-    if (gn != nullptr) remove_contrib(edge_key(v, gn->rep));
+    if (Group* go = m.find(oldc)) fx.add(edge_key(v, go->rep));
+    if (Group* gn = m.find(newc)) fx.remove(edge_key(v, gn->rep));
   }
   cluster_[v] = newc;
+}
 
-  // Re-key v's out-arcs: the In(w) priority of (v -> w) is
-  // Priority(Cluster(v)). Destinations at the next level are flagged for
-  // re-examination; membership of incident edges moves between groups.
-  es_.for_each_out_arc(v, [&](uint32_t a, const ESTree::Arc& arc) {
-    VertexId w = arc.dst;
-    if (w >= n_) return;  // never: original vertices only point into V
-    es_.update_arc_priority(a, arc_key(a, newc));
-    if (es_.dist(w) == es_.dist(v) + 1) flag_dirty(w, buckets);
-    if (cfg_.intercluster) {
-      remove_membership(w, oldc, v);
-      add_membership(w, newc, v);
-    }
+void DecrementalClusterSpanner::move_out_arc(uint32_t a, VertexId v,
+                                             VertexId oldc, VertexId newc,
+                                             OpEffects& fx) {
+  // The In(w) priority of (v -> w) is Priority(Cluster(v)). A destination
+  // at the next level is flagged for re-examination; the membership of the
+  // edge moves between w's groups.
+  VertexId w = es_.arc(a).dst;
+  es_.update_arc_priority(a, arc_key(a, newc));
+  if (es_.dist(w) == es_.dist(v) + 1) fx.dirty = w;
+  if (cfg_.intercluster) {
+    remove_membership(w, oldc, v, fx);
+    add_membership(w, newc, v, fx);
+  }
+}
+
+namespace {
+
+uint64_t owner_key(VertexId owner, size_t seq) {
+  assert(seq <= UINT32_MAX);
+  return (static_cast<uint64_t>(owner) << 32) | seq;
+}
+
+/// Runs apply(owner, seq) once per key (owner << 32 | seq). Sorting the
+/// keys turns each owner's operations into one run in sequence order; runs
+/// are applied in parallel, so apply may touch only its owner's state.
+template <typename Apply>
+void apply_by_owner(std::vector<uint64_t>& keys, const Apply& apply) {
+  parallel_sort(keys);
+  parallel_for(0, keys.size(), [&](size_t i) {
+    VertexId owner = VertexId(keys[i] >> 32);
+    if (i > 0 && VertexId(keys[i - 1] >> 32) == owner) return;  // mid-run
+    for (size_t j = i; j < keys.size() && VertexId(keys[j] >> 32) == owner;
+         ++j)
+      apply(owner, uint32_t(keys[j]));
   });
 }
+
+}  // namespace
 
 SpannerDiff DecrementalClusterSpanner::delete_edges(std::span<const Edge> batch) {
   ++epoch_;
   assert(batch_delta_.empty() && "previous batch drained its delta");
 
-  // Everything batch-scoped below (doomed arc ids, dirty buckets) comes
-  // from the calling thread's bump arena and is reclaimed wholesale when
-  // this scope closes — steady state does zero system allocations per
-  // batch (DESIGN.md §12.5).
+  // Everything batch-scoped below (doomed arc ids, dirty buckets, per-level
+  // operation logs) comes from the calling thread's bump arena and is
+  // reclaimed wholesale when this scope closes — steady state does zero
+  // system allocations per batch (DESIGN.md §12.5).
   ArenaScope batch_scratch;
 
   // --- Step 1: kill edges; detach their InterCluster memberships using the
   // pre-batch cluster values. ---
+  // Index lookups run in parallel; the kill pass is serial so that the first
+  // occurrence of an in-batch duplicate is the one that counts.
+  constexpr uint32_t kDead = UINT32_MAX;
+  ArenaVector<uint32_t> found(batch.size());
+  parallel_for(0, batch.size(), [&](size_t b) {
+    auto idx = edge_index_.find(batch[b].key());
+    found[b] = idx && alive_[*idx] ? uint32_t(*idx) : kDead;
+  });
   ArenaVector<uint32_t> arc_ids;
-  for (const Edge& e : batch) {
-    auto idx = edge_index_.find(e.key());
-    if (!idx || !alive_[*idx]) continue;
-    uint32_t i = uint32_t(*idx);
+  ArenaVector<uint32_t> killed;
+  for (uint32_t i : found) {
+    if (i == kDead || !alive_[i]) continue;
     alive_[i] = 0;
     --alive_count_;
     arc_ids.push_back(2 * i);
     arc_ids.push_back(2 * i + 1);
-    if (cfg_.intercluster) {
-      remove_membership(edges_[i].u, cluster_[edges_[i].v], edges_[i].v);
-      remove_membership(edges_[i].v, cluster_[edges_[i].u], edges_[i].u);
-    }
+    killed.push_back(i);
+  }
+  if (cfg_.intercluster) {
+    // Detach 2j removes v from u's groups and 2j+1 removes u from v's, for
+    // killed[j] = (u, v): the serial loop's order, applied per owner.
+    owner_keys_.resize(2 * killed.size());
+    parallel_for(0, killed.size(), [&](size_t j) {
+      const Edge& e = edges_[killed[j]];
+      owner_keys_[2 * j] = owner_key(e.u, 2 * j);
+      owner_keys_[2 * j + 1] = owner_key(e.v, 2 * j + 1);
+    });
+    ArenaVector<OpEffects> fx(owner_keys_.size());
+    apply_by_owner(owner_keys_, [&](VertexId x, uint32_t seq) {
+      const Edge& e = edges_[killed[seq / 2]];
+      VertexId other = seq % 2 == 0 ? e.v : e.u;
+      remove_membership(x, cluster_[other], other, fx[seq]);
+    });
+    for (const OpEffects& f : fx) replay(f);
   }
 
   // --- Step 2: distance phases (Algorithm 1). ---
@@ -394,21 +451,35 @@ SpannerDiff DecrementalClusterSpanner::delete_edges(std::span<const Edge> batch)
   for (auto& [v, old_arc] : rep.parent_changed)
     if (v < n_) flag_dirty(v, buckets);
 
-  // Each level runs in two phases (DESIGN.md §6). Phase A re-selects
+  // Each level runs in two phases (DESIGN.md §6.3). Phase A re-selects
   // parents in parallel: rescan touches only v-local ES state (scan
   // pointer, parent arc) and reads distances/keys that are final for level
   // d-1, so bucket members are independent. Arc re-keys issued by same-level
   // peers in the serial version never affect a level-d parent choice (their
   // sources sit at level d, not d-1), which is what makes the phase split
-  // result-identical to the old interleaved loop. Phase B applies
-  // contribution and cluster changes serially in bucket order, so the diff
-  // and every group-representative election stay deterministic.
+  // result-identical to the old interleaved loop. The same pass refreshes
+  // v's tree contribution and reads its new cluster off the final level d-1.
+  //
+  // Phase B applies the cluster changes. In bucket order, a changed member
+  // v issues its own change (sequence number s) and then one operation per
+  // valid out-arc (s+1, s+2, ...); each operation touches only the state of
+  // one owner (v, resp. the arc's destination w: groups_, cluster_, In(w)).
+  // Grouping by owner in sequence order hands every owner exactly the
+  // operation order of the serial loop — in particular each membership
+  // check against cluster_[w] sees the value the serial loop saw — so
+  // owners run in parallel, and the shared side effects (contribution
+  // refcounts, dirty flags for level d+1) are replayed serially in sequence
+  // order, which keeps the diff and every representative election exact.
   for (uint32_t d = 1; d <= t_; ++d) {
     ArenaVector<VertexId>& bucket = buckets[d];
     // Cluster changes at level d only flag level d+1 (dist(w) == d+1), so
     // `bucket` is complete before the level starts.
+    size_t nb = bucket.size();
+    ArenaVector<OpEffects> own(nb);
+    ArenaVector<VertexId> oldc(nb), newc(nb);
+    ArenaVector<uint32_t> first_op(nb + 1);  // counts, then sequence offsets
     parallel_for(
-        0, bucket.size(),
+        0, nb,
         [&](size_t idx) {
           VertexId v = bucket[idx];
           assert(es_.dist(v) == d);
@@ -416,13 +487,60 @@ SpannerDiff DecrementalClusterSpanner::delete_edges(std::span<const Edge> batch)
             es_.rescan_from_head(v);
           else
             es_.rescan(v);
+          refresh_tree_contrib(v, own[idx]);
+          oldc[idx] = cluster_[v];
+          newc[idx] = cluster_from_parent(v);
+          uint32_t ops = 0;
+          if (newc[idx] != oldc[idx]) {
+            ops = 1;
+            es_.for_each_out_arc(
+                v, [&](uint32_t, const ESTree::Arc&) { ++ops; });
+          }
+          first_op[idx] = ops;
         },
         /*grain=*/1);
-    for (size_t idx = 0; idx < bucket.size(); ++idx) {
-      VertexId v = bucket[idx];
-      refresh_tree_contrib(v);
-      VertexId newc = cluster_from_parent(v);
-      if (newc != cluster_[v]) apply_cluster_change(v, newc, buckets);
+    uint32_t num_ops = 0;
+    for (size_t idx = 0; idx < nb; ++idx) {
+      uint32_t ops = first_op[idx];
+      first_op[idx] = num_ops;
+      num_ops += ops;
+    }
+    first_op[nb] = num_ops;
+
+    ArenaVector<OpEffects> fx(num_ops);
+    if (num_ops > 0) {
+      ArenaVector<uint32_t> op_member(num_ops), op_arc(num_ops);
+      owner_keys_.resize(num_ops);
+      parallel_for(0, nb, [&](size_t idx) {
+        uint32_t s = first_op[idx];
+        if (s == first_op[idx + 1]) return;
+        VertexId v = bucket[idx];
+        owner_keys_[s] = owner_key(v, s);
+        op_member[s] = uint32_t(idx);
+        es_.for_each_out_arc(v, [&](uint32_t a, const ESTree::Arc& arc) {
+          assert(arc.dst < n_ && "original vertices only point into V");
+          ++s;
+          owner_keys_[s] = owner_key(arc.dst, s);
+          op_member[s] = uint32_t(idx);
+          op_arc[s] = a;
+        });
+      });
+      apply_by_owner(owner_keys_, [&](VertexId owner, uint32_t s) {
+        uint32_t idx = op_member[s];
+        if (s == first_op[idx])
+          change_own_cluster(owner, oldc[idx], newc[idx], own[idx]);
+        else
+          move_out_arc(op_arc[s], bucket[idx], oldc[idx], newc[idx], fx[s]);
+      });
+    }
+    for (size_t idx = 0; idx < nb; ++idx) {
+      replay(own[idx]);
+      if (first_op[idx] == first_op[idx + 1]) continue;
+      ++cluster_change_count_;
+      for (uint32_t s = first_op[idx] + 1; s < first_op[idx + 1]; ++s) {
+        replay(fx[s]);
+        if (fx[s].dirty != kNoVertex) flag_dirty(fx[s].dirty, buckets);
+      }
     }
   }
 

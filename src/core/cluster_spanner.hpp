@@ -28,9 +28,11 @@
 // distances and final cluster priorities. Vertices whose distance changed
 // re-select from the head of In(v); distance-stable vertices use the
 // forward-only NextWith (their candidates' priorities can only drop).
-// Each level runs two phases — parallel parent re-selection, then serial
-// deterministic application of contribution and cluster changes
-// (DESIGN.md §6.3).
+// Each level runs two phases — parallel parent re-selection, then the
+// cluster changes applied grouped by owning vertex: distinct owners run in
+// parallel, each owner's operations in the serial sequence order, and the
+// shared contribution and dirty-flag side effects are replayed serially in
+// that order, so the result equals the serial loop's (DESIGN.md §6.3).
 //
 // With cfg.intercluster = false the structure maintains only the forest of
 // intra-cluster tree edges — the per-instance mode of the monotone spanner
@@ -188,13 +190,44 @@ class DecrementalClusterSpanner {
   /// whole structure is scratch that dies with delete_edges' ArenaScope.
   using Buckets = ArenaVector<ArenaVector<VertexId>>;
 
+  /// Shared-state side effects of one owner-local operation: contribution
+  /// refcount changes (in issue order) and the vertex to flag dirty for the
+  /// next level. Owners record them in parallel; delete_edges replays them
+  /// serially in sequence order (DESIGN.md §6.3).
+  struct OpEffects {
+    static constexpr uint8_t kMax = 4;  // refresh (2) + eligibility flip (2)
+    EdgeKey keys[kMax];
+    uint8_t count = 0;
+    uint8_t removals = 0;  // bit i set: keys[i] loses a reference
+    VertexId dirty = kNoVertex;
+
+    void add(EdgeKey e) {
+      assert(count < kMax);
+      keys[count++] = e;
+    }
+    void remove(EdgeKey e) {
+      assert(count < kMax);
+      removals |= uint8_t(1u << count);
+      keys[count++] = e;
+    }
+  };
+
   VertexId cluster_from_parent(VertexId v) const;
-  void refresh_tree_contrib(VertexId v);
+  void refresh_tree_contrib(VertexId v, OpEffects& fx);
   void add_contrib(EdgeKey e);
   void remove_contrib(EdgeKey e);
-  void add_membership(VertexId x, VertexId c, VertexId other);
-  void remove_membership(VertexId x, VertexId c, VertexId other);
-  void apply_cluster_change(VertexId v, VertexId newc, Buckets& buckets);
+  void replay(const OpEffects& fx);
+  void add_membership(VertexId x, VertexId c, VertexId other, OpEffects& fx);
+  void remove_membership(VertexId x, VertexId c, VertexId other,
+                         OpEffects& fx);
+  /// The two owner-local halves of v's cluster change oldc -> newc: v's own
+  /// group eligibility flips and cluster_[v] (owner v), and, per out-arc
+  /// a = (v -> w), the In(w) re-key and v's move between w's groups
+  /// (owner w).
+  void change_own_cluster(VertexId v, VertexId oldc, VertexId newc,
+                          OpEffects& fx);
+  void move_out_arc(uint32_t a, VertexId v, VertexId oldc, VertexId newc,
+                    OpEffects& fx);
   void flag_dirty(VertexId v, Buckets& buckets);
 
   size_t n_ = 0;
@@ -247,6 +280,9 @@ class DecrementalClusterSpanner {
   std::vector<uint64_t> dirty_epoch_;
   std::vector<uint64_t> distch_epoch_;
   uint64_t epoch_ = 0;
+  /// (owner << 32 | seq) sort keys of the owner-grouped apply; a member so
+  /// its capacity is reused across levels and batches.
+  std::vector<uint64_t> owner_keys_;
 
   uint64_t cluster_change_count_ = 0;
   uint32_t last_phases_ = 0;

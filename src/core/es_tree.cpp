@@ -111,17 +111,21 @@ int32_t ESTree::next_with(VertexId v, uint64_t from_key) {
     }
     return true;
   });
-  // next_with runs inside parallel loops (Algorithm 1's per-phase scans,
-  // the cluster cascade's phase A), where the shared counter add must be
-  // atomic; serial callers skip the RMW. The sum is order-independent
-  // either way, keeping the counters deterministic.
-  if (in_parallel()) {
-    std::atomic_ref<uint64_t>(counters_.scan_steps)
-        .fetch_add(steps, std::memory_order_relaxed);
-  } else {
-    counters_.scan_steps += steps;
-  }
+  count(counters_.scan_steps, steps);
   return found;
+}
+
+void ESTree::count(uint64_t& counter, uint64_t by) {
+  // next_with and update_arc_priority run inside parallel loops (Algorithm
+  // 1's per-phase scans, the cluster cascade's phases), where the shared
+  // counter add must be atomic; serial callers skip the RMW. The sum is
+  // order-independent either way, keeping the counters deterministic.
+  if (in_parallel()) {
+    std::atomic_ref<uint64_t>(counter).fetch_add(by,
+                                                 std::memory_order_relaxed);
+  } else {
+    counter += by;
+  }
 }
 
 void ESTree::note_parent_change(VertexId v) {
@@ -308,7 +312,7 @@ bool ESTree::update_arc_priority(uint32_t a, uint64_t new_key) {
   in_[arc.dst].erase(arc.key);
   arc.key = new_key;
   in_[arc.dst].insert(new_key, a);
-  counters_.treap_ops += 2;
+  count(counters_.treap_ops, 2);
   return was_parent;
 }
 

@@ -121,6 +121,8 @@ class ESTree {
   /// caller must follow up with rescan(dst) — flagged by the return value.
   /// Priorities of *valid parent candidates* must only decrease while the
   /// destination's distance is unchanged (asserted in debug builds).
+  /// Touches only state owned by the arc's destination (its In list and the
+  /// arc's key), so calls for distinct destinations may run concurrently.
   bool update_arc_priority(uint32_t a, uint64_t new_key);
 
   /// Re-selects the parent of v by scanning In(v) from the current pointer
@@ -172,6 +174,9 @@ class ESTree {
 
   /// Records v's original parent the first time it changes in this batch.
   void note_parent_change(VertexId v);
+
+  /// Adds `by` to a work counter, atomically inside parallel loops.
+  static void count(uint64_t& counter, uint64_t by);
 
   std::vector<Arc> arcs_;
   std::vector<CountedTreap<uint32_t>> in_;  // key -> arc id

@@ -7,10 +7,13 @@
 // spanner_check oracle, plus diff consistency against a materialized copy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "core/cluster_spanner.hpp"
 #include "graph/generators.hpp"
+#include "parallel/scheduler.hpp"
+#include "util/rng.hpp"
 #include "verify/spanner_check.hpp"
 
 namespace parspan {
@@ -193,6 +196,82 @@ TEST(ClusterSpanner, PathGraphKeepsAllEdges) {
   EXPECT_EQ(sp.spanner_size(), edges.size());
   EXPECT_TRUE(sp.check_invariants());
 }
+
+// --- The owner-parallel cascade against its 1-worker run. ------------------
+// A dense G(n, m) is large enough that Step 1's detach operations and the
+// busiest cascade levels exceed parallel_for's inline cutoff (512 ops), so
+// at 4 workers owners really are applied concurrently. Batches carry
+// in-batch duplicates (either orientation), already-dead edges and absent
+// pairs. Every diff must match the 1-worker run entry by entry, and so must
+// the cluster-change count and the spanner after each batch.
+struct CascadeRun {
+  std::vector<SpannerDiff> diffs;
+  std::vector<uint64_t> cluster_changes;
+  std::vector<std::vector<Edge>> spanners;  // sorted
+};
+
+CascadeRun run_cascade(int workers, bool intercluster) {
+  const size_t n = 1500;
+  auto edges = gen_erdos_renyi(n, 30000, 41);
+  std::vector<std::vector<Edge>> batches;
+  Rng rng(43);
+  std::vector<Edge> order = edges;
+  std::shuffle(order.begin(), order.end(), rng);
+  const size_t batch = 1500;
+  for (size_t lo = 0; lo + batch <= order.size() / 2; lo += batch) {
+    std::vector<Edge> b(order.begin() + lo, order.begin() + lo + batch);
+    for (size_t i = 0; i < 100; ++i) {
+      Edge dup = b[rng.next_below(batch)];
+      b.push_back(i % 2 ? dup : Edge(dup.v, dup.u));
+      if (lo > 0) b.push_back(order[rng.next_below(lo)]);  // already dead
+      VertexId u = VertexId(rng.next_below(n)), v = VertexId(rng.next_below(n));
+      if (u != v) b.emplace_back(u, v);  // absent unless it happens to exist
+    }
+    std::shuffle(b.begin(), b.end(), rng);
+    batches.push_back(std::move(b));
+  }
+
+  int saved = num_workers();
+  set_num_workers(workers);
+  ClusterSpannerConfig cfg;
+  cfg.k = 3;
+  cfg.seed = 47;
+  cfg.intercluster = intercluster;
+  DecrementalClusterSpanner sp(n, edges, cfg);
+  CascadeRun run;
+  for (const auto& b : batches) {
+    run.diffs.push_back(sp.delete_edges(b));
+    run.cluster_changes.push_back(sp.cluster_changes());
+    auto h = sp.spanner_edges();
+    std::sort(h.begin(), h.end());
+    run.spanners.push_back(std::move(h));
+  }
+  EXPECT_TRUE(sp.check_invariants());
+  set_num_workers(saved);
+  return run;
+}
+
+class ClusterSpannerWorkers : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ClusterSpannerWorkers, DiffDeterministicAcrossThreadCounts) {
+  bool intercluster = GetParam();
+  CascadeRun one = run_cascade(1, intercluster);
+  CascadeRun four = run_cascade(4, intercluster);
+  ASSERT_EQ(one.diffs.size(), four.diffs.size());
+  EXPECT_GT(one.cluster_changes.back(), 0u);
+  for (size_t i = 0; i < one.diffs.size(); ++i) {
+    ASSERT_EQ(four.diffs[i].inserted, one.diffs[i].inserted) << "batch " << i;
+    ASSERT_EQ(four.diffs[i].removed, one.diffs[i].removed) << "batch " << i;
+    ASSERT_EQ(four.cluster_changes[i], one.cluster_changes[i])
+        << "batch " << i;
+    ASSERT_EQ(four.spanners[i], one.spanners[i]) << "batch " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, ClusterSpannerWorkers, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "InterCluster" : "ForestOnly";
+                         });
 
 }  // namespace
 }  // namespace parspan
