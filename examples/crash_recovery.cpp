@@ -110,13 +110,13 @@ int main() {
 
   // The durability contract: everything synced survives, and whatever
   // survives is bit-exact — the restored checksum equals what the live run
-  // published at that version.
-  bool ok = rep.restored_version >= watermark &&
-            rep.restored_checksum == checksums[rep.restored_version];
+  // published at that version. Every check printed here decides the exit
+  // code: any NO exits 1.
+  const bool watermark_ok = rep.restored_version >= watermark;
+  const bool checksum_ok =
+      rep.restored_checksum == checksums[rep.restored_version];
   std::printf("watermark honored: %s; checksum matches live history: %s\n",
-              rep.restored_version >= watermark ? "YES" : "NO",
-              rep.restored_checksum == checksums[rep.restored_version]
-                  ? "YES" : "NO");
+              watermark_ok ? "YES" : "NO", checksum_ok ? "YES" : "NO");
 
   // --- Phase 4: carry on from the recovered state. --------------------------
   // Re-apply the batches past the restored version, then verify stretch
@@ -138,5 +138,5 @@ int main() {
   std::printf("resumed ingest to version %llu; stretch <= %u verified: %s\n",
               (unsigned long long)recovered->version(), 2 * k - 1,
               stretch_ok ? "YES" : "NO");
-  return ok && stretch_ok ? 0 : 1;
+  return watermark_ok && checksum_ok && stretch_ok ? 0 : 1;
 }

@@ -16,7 +16,124 @@ bool valid_graph_key(EdgeKey k, uint64_t n) {
   return lo < hi && hi < n;
 }
 
+// Folds one record's input batch into a graph shadow: deletions, then
+// insertions (the backend's batch semantics).
+void fold_graph_input(FlatHashSet<EdgeKey>& graph, uint64_t n,
+                      const WalRecord& rec) {
+  for (EdgeKey k : rec.input_deleted)
+    if (valid_graph_key(k, n)) graph.erase(k);
+  for (EdgeKey k : rec.input_inserted)
+    if (valid_graph_key(k, n)) graph.insert(k);
+}
+
+// One walk of a shard's chain and what it passed over.
+struct ChainWalk {
+  ShardDurability::Recovered state;  // `dur` stays null
+  FlatHashSet<EdgeKey> graph;        // the shadow behind state.graph_keys
+  std::vector<uint64_t> ckpts;       // checkpoints at/below the chosen one
+};
+
+// The chain walk (DESIGN.md §10.4): the newest checkpoint at/below `cap`
+// whose content checksum re-derives from its own key list, then the log
+// segments at/above it replayed record by record through extend_chain(),
+// stopping at the cap or, for good, at the first invalid frame or record
+// — bytes past a tear are garbage by the append-only discipline.
+// Checkpoints skipped as unusable are appended to `rotten`.
+std::optional<ChainWalk> walk_chain(Fs& fs, const std::string& dir,
+                                    uint64_t cap,
+                                    std::vector<uint64_t>* rotten) {
+  // A checkpoint above the cap is unusable even if valid: state cannot be
+  // rolled backward, only replayed forward.
+  ChainWalk w;
+  for (const std::string& name : fs.list(dir))
+    if (auto v = parse_checkpoint_file_name(name); v && *v <= cap)
+      w.ckpts.push_back(*v);
+  std::sort(w.ckpts.begin(), w.ckpts.end());
+  std::optional<Checkpoint> chosen;
+  while (!w.ckpts.empty()) {
+    auto c = load_checkpoint(fs, dir, w.ckpts.back());
+    if (c && snapshot_content_checksum(c->n, c->stretch, c->version,
+                                       c->snap_keys) == c->snapshot_checksum) {
+      chosen = std::move(c);
+      break;
+    }
+    rotten->push_back(w.ckpts.back());
+    w.ckpts.pop_back();
+  }
+  if (!chosen) return std::nullopt;
+
+  ShardDurability::Recovered& s = w.state;
+  s.n = chosen->n;
+  s.stretch = chosen->stretch;
+  s.version = chosen->version;
+  s.checksum = chosen->snapshot_checksum;
+  s.snap_keys = std::move(chosen->snap_keys);
+  for (EdgeKey k : chosen->graph_keys) w.graph.insert(k);
+
+  // Versions must chain contiguously across segments in base order.
+  std::vector<uint64_t> bases;
+  for (const std::string& name : fs.list(dir))
+    if (auto b = parse_wal_file_name(name); b && *b >= s.version)
+      bases.push_back(*b);
+  std::sort(bases.begin(), bases.end());
+  for (uint64_t base : bases) {
+    if (s.version >= cap) break;
+    WalSegment seg = read_wal_segment(fs, dir + "/" + wal_file_name(base));
+    if (!seg.header_ok) {
+      s.tail_truncated = true;
+      break;
+    }
+    if (seg.base_version > s.version) break;  // gap: later epochs unusable
+    bool stop = false;
+    for (const WalRecord& rec : seg.records) {
+      if (rec.version <= s.version) continue;
+      if (rec.version > cap) {
+        stop = true;
+        break;
+      }
+      auto folded = extend_chain(s.n, s.stretch, s.version, s.snap_keys, rec);
+      if (!folded) {
+        stop = true;
+        s.tail_truncated = true;
+        break;
+      }
+      s.snap_keys = std::move(*folded);
+      fold_graph_input(w.graph, s.n, rec);
+      s.version = rec.version;
+      s.checksum = rec.checksum;
+      ++s.replayed_records;
+    }
+    if (stop) break;
+    if (seg.truncated_tail) {
+      s.tail_truncated = true;
+      break;
+    }
+  }
+  s.graph_keys = w.graph.sorted_keys();
+  return w;
+}
+
 }  // namespace
+
+std::optional<std::vector<EdgeKey>> extend_chain(uint64_t n, uint32_t stretch,
+                                                 uint64_t version,
+                                                 std::span<const EdgeKey> keys,
+                                                 const WalRecord& rec) {
+  if (rec.version != version + 1) return std::nullopt;
+  auto folded = checked_apply_diff(keys, rec.diff_inserted, rec.diff_removed);
+  if (!folded || snapshot_content_checksum(n, stretch, rec.version, *folded) !=
+                     rec.checksum)
+    return std::nullopt;
+  return folded;
+}
+
+std::optional<DurableState> read_durable_state(Fs& fs, const std::string& dir,
+                                               uint64_t max_version) {
+  std::vector<uint64_t> rotten;  // left in place: this walk is read-only
+  auto w = walk_chain(fs, dir, max_version, &rotten);
+  if (!w) return std::nullopt;
+  return std::move(w->state);
+}
 
 ShardDurability::ShardDurability(std::shared_ptr<Fs> fs, std::string dir,
                                  const DurabilityOptions& opts, uint64_t n,
@@ -75,10 +192,7 @@ bool ShardDurability::log_record(const WalRecord& rec) {
   // track the BACKEND (which applied the batch regardless), so a later
   // recovery-epilogue checkpoint — if durability ever came back — would
   // not lie. With sticky failure it simply stays consistent in memory.
-  for (EdgeKey k : rec.input_deleted)
-    if (valid_graph_key(k, n_)) graph_.erase(k);
-  for (EdgeKey k : rec.input_inserted)
-    if (valid_graph_key(k, n_)) graph_.insert(k);
+  fold_graph_input(graph_, n_, rec);
   if (failed_) return false;
   if (!wal_->append(rec)) {
     failed_ = true;
@@ -153,97 +267,24 @@ void ShardDurability::publish_durable() {
 
 std::optional<ShardDurability::Recovered> ShardDurability::recover(
     std::shared_ptr<Fs> fs, std::string dir, const DurabilityOptions& opts) {
-  // Newest structurally valid checkpoint whose content checksum re-derives
-  // from its own key list — older ones are the fallback against rot.
-  std::vector<uint64_t> ckpts;
-  for (const std::string& name : fs->list(dir))
-    if (auto v = parse_checkpoint_file_name(name)) ckpts.push_back(*v);
-  std::sort(ckpts.begin(), ckpts.end());
-  std::optional<Checkpoint> chosen;
-  while (!ckpts.empty()) {
-    auto c = load_checkpoint(*fs, dir, ckpts.back());
-    if (c && snapshot_content_checksum(c->n, c->stretch, c->version,
-                                       c->snap_keys) == c->snapshot_checksum) {
-      chosen = std::move(c);
-      break;
-    }
-    // Unusable: drop the file so it cannot shadow the good one next time.
-    fs->remove(dir + "/" + checkpoint_file_name(ckpts.back()));
-    ckpts.pop_back();
-  }
-  if (!chosen) return std::nullopt;
+  std::vector<uint64_t> rotten;
+  auto w = walk_chain(*fs, dir, UINT64_MAX, &rotten);
+  // Unusable checkpoints go, so they cannot shadow the good one next time.
+  for (uint64_t v : rotten) fs->remove(dir + "/" + checkpoint_file_name(v));
+  if (!w) return std::nullopt;
 
-  Recovered out;
-  out.n = chosen->n;
-  out.stretch = chosen->stretch;
-  out.version = chosen->version;
-  out.checksum = chosen->snapshot_checksum;
-  out.snap_keys = std::move(chosen->snap_keys);
-  out.graph_keys = std::move(chosen->graph_keys);
-
-  FlatHashSet<EdgeKey> graph;
-  for (EdgeKey k : out.graph_keys) graph.insert(k);
-
-  // Replay segments at/above the checkpoint in base order. Versions must
-  // chain contiguously; the first invalid frame (or semantically
-  // inconsistent record — checksum verified BEFORE apply) ends replay for
-  // good: bytes past a tear are garbage by the append-only discipline.
-  std::vector<uint64_t> bases;
-  for (const std::string& name : fs->list(dir))
-    if (auto b = parse_wal_file_name(name); b && *b >= out.version)
-      bases.push_back(*b);
-  std::sort(bases.begin(), bases.end());
-  bool stop = false;
-  for (uint64_t base : bases) {
-    if (stop) break;
-    WalSegment seg = read_wal_segment(*fs, dir + "/" + wal_file_name(base));
-    if (!seg.header_ok) {
-      out.tail_truncated = true;
-      break;
-    }
-    if (seg.base_version > out.version) break;  // gap: later epochs unusable
-    for (WalRecord& rec : seg.records) {
-      if (rec.version <= out.version) continue;
-      if (rec.version != out.version + 1) {
-        stop = true;
-        out.tail_truncated = true;
-        break;
-      }
-      auto folded =
-          checked_apply_diff(out.snap_keys, rec.diff_inserted, rec.diff_removed);
-      if (!folded || snapshot_content_checksum(out.n, out.stretch, rec.version,
-                                               *folded) != rec.checksum) {
-        stop = true;
-        out.tail_truncated = true;
-        break;
-      }
-      out.snap_keys = std::move(*folded);
-      for (EdgeKey k : rec.input_deleted)
-        if (valid_graph_key(k, out.n)) graph.erase(k);
-      for (EdgeKey k : rec.input_inserted)
-        if (valid_graph_key(k, out.n)) graph.insert(k);
-      out.version = rec.version;
-      out.checksum = rec.checksum;
-      ++out.replayed_records;
-    }
-    if (seg.truncated_tail) {
-      out.tail_truncated = true;
-      break;
-    }
-  }
-  out.graph_keys = graph.sorted_keys();
-
+  Recovered& out = w->state;
   auto d = std::unique_ptr<ShardDurability>(new ShardDurability(
       std::move(fs), std::move(dir), opts, out.n, out.stretch));
-  d->graph_ = std::move(graph);
-  d->last_ckpt_version_ = ckpts.empty() ? out.version : ckpts.back();
-  d->ckpt_versions_ = std::move(ckpts);
+  d->graph_ = std::move(w->graph);
+  d->last_ckpt_version_ = w->ckpts.back();
+  d->ckpt_versions_ = std::move(w->ckpts);
   d->records_since_ckpt_ = out.version - d->last_ckpt_version_;
   d->open_segment(out.version);  // failure leaves d sticky-failed; state is
                                  // still good — the caller decides.
   d->publish_durable();
   out.dur = std::move(d);
-  return out;
+  return std::move(out);
 }
 
 }  // namespace parspan

@@ -9,7 +9,10 @@
 // checkpoints, and recover() rebuilds the exact pre-crash serving state —
 // newest valid checkpoint, replay the log tail diff-by-diff with the
 // content checksum re-verified per record, truncate at the first invalid
-// frame — plus the graph shadow a fresh backend is rebuilt from.
+// frame — plus the graph shadow a fresh backend is rebuilt from. That
+// chain walk is written once: read_durable_state() is the walk capped at
+// a version and read-only, recover() is the walk with no cap plus its
+// side effects (DESIGN.md §10.4).
 //
 // The graph shadow: the durability layer folds every record's *input*
 // batch (deletions then insertions, set semantics — exactly the backend's
@@ -40,6 +43,40 @@
 
 namespace parspan {
 
+/// One shard's durably-recoverable state at a version: what recovery
+/// restores, and everything a follower needs to adopt it wholesale
+/// (snapshot resync) — the snapshot key list plus the graph shadow its own
+/// checkpoint chain must carry.
+struct DurableState {
+  uint64_t n = 0;
+  uint32_t stretch = 0;
+  uint64_t version = 0;
+  uint64_t checksum = 0;  // snapshot content checksum at `version`
+  std::vector<EdgeKey> snap_keys;   // ascending
+  std::vector<EdgeKey> graph_keys;  // ascending
+};
+
+/// The one rule by which a durable chain grows (DESIGN.md §10.4): `rec`
+/// extends the state (n, stretch, version, keys) iff it is version + 1,
+/// its diff folds into `keys` under checked_apply_diff's checks, and the
+/// folded key list re-derives rec.checksum. Returns that key list (the
+/// state at rec.version), or nullopt when the record does not extend the
+/// state. Recovery, the log shipper's resync reader and every follower
+/// accept records through this function alone.
+std::optional<std::vector<EdgeKey>> extend_chain(uint64_t n, uint32_t stretch,
+                                                 uint64_t version,
+                                                 std::span<const EdgeKey> keys,
+                                                 const WalRecord& rec);
+
+/// Rebuilds the durable state at the highest recoverable version
+/// <= `max_version`: newest checksum-verified checkpoint at/below the cap,
+/// then a fully verified replay of the log tail, clamped at the cap. The
+/// same walk as ShardDurability::recover, but read-only: it never deletes
+/// a rotten checkpoint or opens a segment. nullopt when no checkpoint
+/// at/below the cap validates.
+std::optional<DurableState> read_durable_state(Fs& fs, const std::string& dir,
+                                               uint64_t max_version);
+
 struct DurabilityOptions {
   FsyncPolicy fsync_policy = FsyncPolicy::kEveryRecord;
   /// Sync once per this many records (kEveryN).
@@ -67,14 +104,9 @@ class ShardDurability {
       std::span<const EdgeKey> snap_keys, uint64_t snapshot_checksum,
       std::vector<EdgeKey> graph_keys);
 
-  /// Everything recover() restores about one shard.
-  struct Recovered {
-    uint64_t n = 0;
-    uint32_t stretch = 0;
-    uint64_t version = 0;   // restored snapshot version
-    uint64_t checksum = 0;  // its content checksum (== last durably logged)
-    std::vector<EdgeKey> snap_keys;   // the restored spanner, ascending
-    std::vector<EdgeKey> graph_keys;  // the restored graph, ascending
+  /// Everything recover() restores about one shard: the durable state
+  /// (its checksum is the last durably logged one) plus what the walk saw.
+  struct Recovered : DurableState {
     uint64_t replayed_records = 0;
     /// True when the log ended in a torn/corrupt frame that was truncated
     /// (vs a clean end).
@@ -83,10 +115,11 @@ class ShardDurability {
     std::unique_ptr<ShardDurability> dur;
   };
 
-  /// Loads the newest valid checkpoint and replays the log tail, verifying
-  /// each record's content checksum before applying it and truncating at
-  /// the first invalid frame (DESIGN.md §10.3). nullopt when no valid
-  /// checkpoint exists at all.
+  /// read_durable_state() with no cap — newest valid checkpoint, then the
+  /// log tail replayed through extend_chain() up to the first invalid
+  /// frame (DESIGN.md §10.4) — plus its side effects: rotten checkpoints
+  /// it skipped are deleted, and the result is positioned to continue
+  /// logging. nullopt when no valid checkpoint exists at all.
   static std::optional<Recovered> recover(std::shared_ptr<Fs> fs,
                                           std::string dir,
                                           const DurabilityOptions& opts);

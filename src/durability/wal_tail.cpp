@@ -2,95 +2,7 @@
 
 #include <algorithm>
 
-#include "container/flat_map.hpp"
-#include "durability/checkpoint.hpp"
-#include "service/spanner_snapshot.hpp"
-
 namespace parspan {
-
-namespace {
-
-bool valid_graph_key(EdgeKey k, uint64_t n) {
-  auto [lo, hi] = edge_endpoints(k);
-  return lo < hi && hi < n;
-}
-
-}  // namespace
-
-std::optional<DurableState> read_durable_state(Fs& fs, const std::string& dir,
-                                               uint64_t max_version) {
-  // Newest verified checkpoint at/below the cap. A checkpoint above the
-  // cap is unusable even if valid: state cannot be rolled backward, only
-  // replayed forward.
-  std::vector<uint64_t> ckpts;
-  for (const std::string& name : fs.list(dir))
-    if (auto v = parse_checkpoint_file_name(name); v && *v <= max_version)
-      ckpts.push_back(*v);
-  std::sort(ckpts.begin(), ckpts.end());
-  std::optional<Checkpoint> chosen;
-  while (!ckpts.empty()) {
-    auto c = load_checkpoint(fs, dir, ckpts.back());
-    if (c && snapshot_content_checksum(c->n, c->stretch, c->version,
-                                       c->snap_keys) == c->snapshot_checksum) {
-      chosen = std::move(c);
-      break;
-    }
-    ckpts.pop_back();  // rotten — skip, but leave the file alone
-  }
-  if (!chosen) return std::nullopt;
-
-  DurableState out;
-  out.n = chosen->n;
-  out.stretch = chosen->stretch;
-  out.version = chosen->version;
-  out.checksum = chosen->snapshot_checksum;
-  out.snap_keys = std::move(chosen->snap_keys);
-
-  FlatHashSet<EdgeKey> graph;
-  for (EdgeKey k : chosen->graph_keys) graph.insert(k);
-
-  // Same replay walk as ShardDurability::recover, clamped at the cap.
-  std::vector<uint64_t> bases;
-  for (const std::string& name : fs.list(dir))
-    if (auto b = parse_wal_file_name(name); b && *b >= out.version)
-      bases.push_back(*b);
-  std::sort(bases.begin(), bases.end());
-  bool stop = false;
-  for (uint64_t base : bases) {
-    if (stop || out.version >= max_version) break;
-    WalSegment seg = read_wal_segment(fs, dir + "/" + wal_file_name(base));
-    if (!seg.header_ok) break;
-    if (seg.base_version > out.version) break;  // gap: later epochs unusable
-    for (WalRecord& rec : seg.records) {
-      if (rec.version <= out.version) continue;
-      if (rec.version > max_version) {
-        stop = true;
-        break;
-      }
-      if (rec.version != out.version + 1) {
-        stop = true;
-        break;
-      }
-      auto folded =
-          checked_apply_diff(out.snap_keys, rec.diff_inserted, rec.diff_removed);
-      if (!folded || snapshot_content_checksum(out.n, out.stretch, rec.version,
-                                               *folded) != rec.checksum) {
-        stop = true;
-        break;
-      }
-      out.snap_keys = std::move(*folded);
-      for (EdgeKey k : rec.input_deleted)
-        if (valid_graph_key(k, out.n)) graph.erase(k);
-      for (EdgeKey k : rec.input_inserted)
-        if (valid_graph_key(k, out.n)) graph.insert(k);
-      out.version = rec.version;
-      out.checksum = rec.checksum;
-    }
-    if (seg.truncated_tail) break;
-  }
-  out.graph_keys = graph.sorted_keys();
-  return out;
-}
 
 bool read_wal_range(Fs& fs, const std::string& dir, uint64_t from, uint64_t to,
                     std::vector<WalRecord>* out) {

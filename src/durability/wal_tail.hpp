@@ -13,11 +13,12 @@
 // put staged frames in the page cache before any fsync — but they are not
 // durable, and shipping them would let a follower get AHEAD of what the
 // leader can recover, breaking failover's longest-durable-log election.
-// Neither function here ever returns a record above `max_version`/`to`.
+// Neither read_wal_range() nor read_durable_state() (the capped chain
+// walk in durable_shard.hpp that snapshot resyncs ship) ever returns a
+// record above its cap.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,26 +27,6 @@
 #include "util/types.hpp"
 
 namespace parspan {
-
-/// One shard's durably-recoverable state at a version: everything a
-/// follower needs to adopt it wholesale (snapshot resync) — the snapshot
-/// key list plus the graph shadow its own checkpoint chain must carry.
-struct DurableState {
-  uint64_t n = 0;
-  uint32_t stretch = 0;
-  uint64_t version = 0;
-  uint64_t checksum = 0;  // snapshot content checksum at `version`
-  std::vector<EdgeKey> snap_keys;   // ascending
-  std::vector<EdgeKey> graph_keys;  // ascending
-};
-
-/// Rebuilds the durable state at the highest recoverable version
-/// <= `max_version`: newest checksum-verified checkpoint at/below the cap,
-/// then a fully verified replay of the log tail, clamped at the cap.
-/// Read-only — unlike recover() it never deletes a rotten checkpoint or
-/// opens a segment. nullopt when no checkpoint at/below the cap validates.
-std::optional<DurableState> read_durable_state(Fs& fs, const std::string& dir,
-                                               uint64_t max_version);
 
 /// Collects the WAL records with versions in (from, to], in order, from
 /// the segment chain. Fast path for incremental shipping: frames are CRC-

@@ -8,25 +8,28 @@ namespace {
 
 constexpr const char* kEpochFile = "epoch";
 
-// Tiny sidecar: epoch u64 LE + crc32c. Unreadable/torn => epoch 0, which
-// is always safe — the follower just resyncs into the current epoch.
-bool read_epoch_file(Fs& fs, const std::string& dir, uint64_t* epoch) {
+}  // namespace
+
+uint64_t read_epoch_file(Fs& fs, const std::string& dir) {
   std::vector<uint8_t> b;
-  if (!fs.read_file(dir + "/" + kEpochFile, &b) || b.size() != 12)
-    return false;
-  if (crc32c(b.data(), 8) != get_le32(b.data() + 8)) return false;
-  *epoch = get_le64(b.data());
-  return true;
+  if (!fs.read_file(dir + "/" + kEpochFile, &b) || b.size() != 12) return 0;
+  if (crc32c(b.data(), 8) != get_le32(b.data() + 8)) return 0;
+  return get_le64(b.data());
 }
 
-}  // namespace
+void write_epoch_file(Fs& fs, const std::string& dir, uint64_t epoch) {
+  std::vector<uint8_t> b;
+  put_le64(b, epoch);
+  put_le32(b, crc32c(b.data(), 8));
+  auto file = fs.create(dir + "/" + kEpochFile);
+  if (file != nullptr && file->append(b.data(), b.size())) file->sync();
+}
 
 FollowerReplica::FollowerReplica(std::shared_ptr<Fs> fs, std::string dir,
                                  const DurabilityOptions& opts,
                                  std::shared_ptr<ReplicationTransport> transport)
     : fs_(std::move(fs)), dir_(std::move(dir)), opts_(opts),
-      transport_(std::move(transport)),
-      store_(std::make_unique<SnapshotStore>()) {}
+      transport_(std::move(transport)) {}
 
 std::unique_ptr<FollowerReplica> FollowerReplica::recover(
     std::shared_ptr<Fs> fs, std::string dir, const DurabilityOptions& opts,
@@ -36,80 +39,62 @@ std::unique_ptr<FollowerReplica> FollowerReplica::recover(
   auto rec = ShardDurability::recover(std::move(fs), std::move(dir), opts);
   if (!rec) return f;  // nothing durable — a fresh follower that resyncs
 
-  f->have_state_ = true;
-  f->n_ = rec->n;
-  f->stretch_ = rec->stretch;
-  f->version_ = rec->version;
-  f->checksum_ = rec->checksum;
-  f->snap_keys_ = std::move(rec->snap_keys);
+  SpannerSnapshot::Ptr snap =
+      SpannerSnapshot::restore(rec->n, rec->stretch, rec->version,
+                               std::move(rec->snap_keys), rec->checksum);
   f->dur_ = std::move(rec->dur);
-  read_epoch_file(*f->fs_, f->dir_, &f->epoch_);
+  f->epoch_ = read_epoch_file(*f->fs_, f->dir_);
   // Compact immediately (the recovery epilogue discipline of §10.4): a
   // follower that crash-loops must not accumulate log.
   if (f->dur_ != nullptr)
-    f->dur_->checkpoint_now(f->version_, f->checksum_, f->snap_keys_);
-  f->store_->publish(SpannerSnapshot::restore(
-      f->n_, f->stretch_, f->version_,
-      std::vector<EdgeKey>(f->snap_keys_)));
+    f->dur_->checkpoint_now(snap->version(), snap->checksum(),
+                            snap->edge_keys());
+  f->store_.publish(std::move(snap));
   return f;
-}
-
-void FollowerReplica::persist_epoch() {
-  // Best-effort: a lost epoch file downgrades a future recovery to epoch 0
-  // (forced resync), never to wrong state.
-  std::vector<uint8_t> b;
-  put_le64(b, epoch_);
-  put_le32(b, crc32c(b.data(), 8));
-  auto file = fs_->create(dir_ + "/" + kEpochFile);
-  if (file != nullptr && file->append(b.data(), b.size())) file->sync();
 }
 
 void FollowerReplica::adopt_snapshot(uint64_t frame_epoch, DurableState state) {
   const bool epoch_changed = frame_epoch != epoch_;
-  n_ = state.n;
-  stretch_ = state.stretch;
-  version_ = state.version;
-  checksum_ = state.checksum;
-  snap_keys_ = std::move(state.snap_keys);
   epoch_ = frame_epoch;
-  have_state_ = true;
   need_snapshot_ = false;
+  SpannerSnapshot::Ptr snap =
+      SpannerSnapshot::restore(state.n, state.stretch, state.version,
+                               std::move(state.snap_keys), state.checksum);
   // A fresh genesis for the follower's own chain: create() wipes the old
   // ckpt/wal files, so nothing from a previous epoch (or a previous
   // incarnation's divergent tail) can win a later recovery.
-  dur_ = ShardDurability::create(fs_, dir_, opts_, n_, stretch_, version_,
-                                 snap_keys_, checksum_,
-                                 std::move(state.graph_keys));
-  persist_epoch();
-  if (epoch_changed || store_->acquire() == nullptr) {
-    // Rebase epochs reuse version numbers with different content — start a
-    // fresh publish chain rather than mixing them (see header).
-    store_ = std::make_unique<SnapshotStore>();
-  }
-  store_->publish(SpannerSnapshot::restore(n_, stretch_, version_,
-                                           std::vector<EdgeKey>(snap_keys_)));
+  dur_ = ShardDurability::create(fs_, dir_, opts_, state.n, state.stretch,
+                                 state.version, snap->edge_keys(),
+                                 state.checksum, std::move(state.graph_keys));
+  write_epoch_file(*fs_, dir_, epoch_);
+  // Rebase epochs reuse version numbers with different content — start a
+  // new publish chain rather than mixing them (see header).
+  if (epoch_changed)
+    store_.restart(std::move(snap));
+  else
+    store_.publish(std::move(snap));
   ++resyncs_;
 }
 
 void FollowerReplica::apply_record(uint64_t frame_epoch, const WalRecord& rec) {
-  if (frame_epoch != epoch_ || !have_state_) {
+  const SpannerSnapshot::Ptr cur = store_.acquire();
+  if (frame_epoch != epoch_ || cur == nullptr) {
     // A record from the future epoch is unusable without its rebase
     // snapshot; ask for one. (Past epochs were already dropped in pump().)
     need_snapshot_ = true;
     return;
   }
-  if (rec.version <= version_) {
+  if (rec.version <= cur->version()) {
     ++duplicates_;  // re-ship overlap or transport duplicate — idempotent
     return;
   }
-  if (rec.version != version_ + 1) {
+  if (rec.version != cur->version() + 1) {
     ++gaps_;  // reordered ahead of its predecessor — the re-ship closes it
     return;
   }
-  auto folded =
-      checked_apply_diff(snap_keys_, rec.diff_inserted, rec.diff_removed);
-  if (!folded || snapshot_content_checksum(n_, stretch_, rec.version,
-                                           *folded) != rec.checksum) {
+  auto folded = extend_chain(cur->num_vertices(), cur->stretch(),
+                             cur->version(), cur->edge_keys(), rec);
+  if (!folded) {
     // CRC-valid but semantically wrong (or checksum mismatch): the
     // follower's chain cannot extend this way. Explicit reject + resync —
     // the §11 "never silent divergence" guarantee.
@@ -117,15 +102,15 @@ void FollowerReplica::apply_record(uint64_t frame_epoch, const WalRecord& rec) {
     need_snapshot_ = true;
     return;
   }
-  snap_keys_ = std::move(*folded);
-  version_ = rec.version;
-  checksum_ = rec.checksum;
+  SpannerSnapshot::Ptr next =
+      SpannerSnapshot::restore(cur->num_vertices(), cur->stretch(),
+                               rec.version, std::move(*folded), rec.checksum);
   if (dur_ != nullptr) {
     dur_->log_record(rec);
-    dur_->maybe_checkpoint(version_, checksum_, snap_keys_);
+    dur_->maybe_checkpoint(next->version(), next->checksum(),
+                           next->edge_keys());
   }
-  store_->publish(SpannerSnapshot::restore(n_, stretch_, version_,
-                                           std::vector<EdgeKey>(snap_keys_)));
+  store_.publish(std::move(next));
   ++records_applied_;
 }
 
@@ -141,17 +126,16 @@ void FollowerReplica::pump() {
       continue;
     }
     if (parsed->type == FrameType::kSnapshot) {
-      if (parsed->epoch == epoch_ && have_state_ &&
-          parsed->state.version <= version_) {
+      const DurableState& st = parsed->state;
+      if (parsed->epoch == epoch_ && has_state() &&
+          st.version <= applied_version()) {
         ++duplicates_;  // never adopt backwards within an epoch
         continue;
       }
       // Trust nothing: the checksum must re-derive from the shipped keys
-      // before this state becomes ours.
-      if (snapshot_content_checksum(parsed->state.n, parsed->state.stretch,
-                                    parsed->state.version,
-                                    parsed->state.snap_keys) !=
-          parsed->state.checksum) {
+      // before this state becomes ours (restore then reuses it).
+      if (snapshot_content_checksum(st.n, st.stretch, st.version,
+                                    st.snap_keys) != st.checksum) {
         ++rejects_;
         continue;
       }
@@ -162,8 +146,8 @@ void FollowerReplica::pump() {
   }
   ReplicaCursor c;
   c.epoch = epoch_;
-  c.version = version_;
-  c.need_snapshot = !have_state_ || need_snapshot_;
+  c.version = applied_version();
+  c.need_snapshot = !has_state() || need_snapshot_;
   transport_->send_cursor(c);
 }
 

@@ -4,12 +4,13 @@
 // algorithm. It replays the leader's verified record stream — exactly the
 // recovery replay loop, fed by the network instead of a local disk — and
 // serves the resulting SpannerSnapshot sequence through its own
-// SnapshotStore. Every record must (a) be the NEXT version in the
-// follower's chain, (b) pass checked_apply_diff's §6 preconditions against
-// the follower's current key list, and (c) re-derive the leader's logged
-// content checksum byte-exactly. Anything else is dropped (duplicate /
-// gap: the shipper re-ships) or rejected (verification failure: the
-// follower flags need_snapshot and is re-seeded wholesale). Silent
+// SnapshotStore. Every record must pass extend_chain(), the rule recovery
+// replays by: (a) be the NEXT version in the follower's chain, (b) pass
+// checked_apply_diff's §6 preconditions against the follower's current
+// key list, and (c) re-derive the leader's logged content checksum
+// byte-exactly. Anything else is dropped (duplicate / gap: the shipper
+// re-ships) or rejected (verification failure: the follower flags
+// need_snapshot and is re-seeded wholesale). Silent
 // divergence is structurally impossible: state only ever changes through a
 // checksum-verified transition or a checksum-verified snapshot adoption.
 //
@@ -20,11 +21,16 @@
 // failover election measures (durable_version()) and what promotion
 // rebuilds a full SpannerService from.
 //
+// Replay state: the follower's state IS its published snapshot — key
+// list, version and checksum are read back from it, never mirrored — so
+// an applied record costs one fold and one checksum pass (extend_chain)
+// and one CSR build (SpannerSnapshot::restore).
+//
 // Epochs: frames carry the leader's rebase epoch. A follower adopts a
 // higher epoch only via a verified snapshot (the new leader's rebase
 // changed history), drops lower-epoch frames (a deposed leader's last
-// breaths), and persists the adopted epoch next to its chain so a
-// crash+recover rejoins the right leader.
+// breaths), and persists the adopted epoch next to its chain (the epoch
+// file below) so a crash+recover rejoins the right leader.
 //
 // Threading: pump() is single-threaded (one replication thread per
 // follower); snapshot() is safe from any thread, like every store.
@@ -40,6 +46,14 @@
 #include "service/snapshot_store.hpp"
 
 namespace parspan {
+
+/// The epoch file next to a replica's chain in `dir`: epoch u64 LE +
+/// crc32c, 12 bytes. Followers and ReplicaNode leaders both keep it.
+/// Missing or torn reads back as epoch 0, which is always safe — it only
+/// ever forces a resync into the current epoch.
+uint64_t read_epoch_file(Fs& fs, const std::string& dir);
+/// Best-effort write (synced): a lost file degrades to epoch 0 as above.
+void write_epoch_file(Fs& fs, const std::string& dir, uint64_t epoch);
 
 class FollowerReplica {
  public:
@@ -62,9 +76,15 @@ class FollowerReplica {
   /// resulting cursor. Call repeatedly (replication thread).
   void pump();
 
-  bool has_state() const { return have_state_; }
-  uint64_t applied_version() const { return version_; }
-  uint64_t applied_checksum() const { return checksum_; }
+  bool has_state() const { return snapshot() != nullptr; }
+  uint64_t applied_version() const {
+    SpannerSnapshot::Ptr snap = snapshot();
+    return snap != nullptr ? snap->version() : 0;
+  }
+  uint64_t applied_checksum() const {
+    SpannerSnapshot::Ptr snap = snapshot();
+    return snap != nullptr ? snap->checksum() : 0;
+  }
   uint64_t epoch() const { return epoch_; }
   bool needs_resync() const { return need_snapshot_; }
 
@@ -76,7 +96,7 @@ class FollowerReplica {
   }
 
   /// Currently served snapshot (null while stateless). Any thread.
-  SpannerSnapshot::Ptr snapshot() const { return store_->acquire(); }
+  SpannerSnapshot::Ptr snapshot() const { return store_.acquire(); }
 
   // --- Apply accounting (test oracle + observability) ----------------------
   uint64_t records_applied() const { return records_applied_; }
@@ -96,28 +116,21 @@ class FollowerReplica {
  private:
   void adopt_snapshot(uint64_t frame_epoch, DurableState state);
   void apply_record(uint64_t frame_epoch, const WalRecord& rec);
-  void persist_epoch();
 
   std::shared_ptr<Fs> fs_;
   std::string dir_;
   DurabilityOptions opts_;
   std::shared_ptr<ReplicationTransport> transport_;
 
-  bool have_state_ = false;
   bool need_snapshot_ = false;
   uint64_t epoch_ = 0;
-  uint64_t n_ = 0;
-  uint32_t stretch_ = 0;
-  uint64_t version_ = 0;
-  uint64_t checksum_ = 0;
-  std::vector<EdgeKey> snap_keys_;  // ascending — the replay state
 
   std::unique_ptr<ShardDurability> dur_;  // the follower's own chain
-  // unique_ptr so a cross-epoch adoption can swap in a fresh store: a
-  // rebase reuses version numbers with different content, which must not
-  // mix in one monotone publish chain (pinned readers keep old snapshots
-  // alive regardless).
-  std::unique_ptr<SnapshotStore> store_;
+  // The replay state (empty while stateless). One store for the
+  // follower's lifetime, so snapshot() stays safe from any thread: a
+  // cross-epoch adoption restarts its publish chain instead of replacing
+  // it (a rebase reuses version numbers with different content).
+  SnapshotStore store_;
 
   uint64_t records_applied_ = 0;
   uint64_t duplicates_ = 0;

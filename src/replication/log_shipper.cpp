@@ -1,5 +1,6 @@
 #include "replication/log_shipper.hpp"
 
+#include "durability/durable_shard.hpp"
 #include "durability/wal_tail.hpp"
 
 namespace parspan {

@@ -2,7 +2,8 @@
 //
 // One shipper serves one follower over one transport. It owns no leader
 // state: it tails the shard's durability directory read-only through the
-// Fs seam (wal_tail.hpp) and is driven by two inputs per pump —
+// Fs seam (read_wal_range, and recovery's own chain walk
+// read_durable_state for resyncs) and is driven by two inputs per pump —
 //
 //   * the follower's last ReplicaCursor (epoch, applied version,
 //     need_snapshot), drained from the transport's control plane;

@@ -186,7 +186,11 @@ class ReplicaNode {
   void reconnect_locked();
   bool start_leader_servers_locked();
   std::string shard_dir() const { return cfg_.dir + "/shard-0"; }
-  void persist_epoch_locked();
+  /// Recovers the 1-shard leader service from shard_dir()'s chain; with
+  /// `genesis_if_empty`, a chain with nothing durable starts a leader over
+  /// the empty graph instead. nullptr when neither works.
+  std::unique_ptr<ShardedSpannerService> recover_leader_service(
+      bool genesis_if_empty) const;
 
   ReplicaNodeConfig cfg_;
 

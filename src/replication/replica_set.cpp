@@ -4,6 +4,30 @@
 
 namespace parspan {
 
+namespace {
+
+// The read-routing rule (DESIGN.md §11.5): the first of `n` followers, in
+// round-robin order from `start`, whose snapshot is at version >=
+// `version`; the leader serves only when none can honor the client's
+// watermark. `follower_at(i)` yields follower i, or null to pass it over.
+template <typename FollowerAt>
+ReplicationGroup::ReadResult route_read(size_t n, size_t start,
+                                        uint64_t version,
+                                        FollowerAt&& follower_at,
+                                        const SpannerService& leader) {
+  for (size_t k = 0; k < n; ++k) {
+    const size_t i = (start + k) % n;
+    const FollowerReplica* f = follower_at(i);
+    if (f == nullptr) continue;
+    SpannerSnapshot::Ptr snap = f->snapshot();
+    if (snap != nullptr && snap->version() >= version)
+      return {std::move(snap), static_cast<int>(i)};
+  }
+  return {leader.snapshot(), -1};
+}
+
+}  // namespace
+
 ReplicationGroup::ReplicationGroup(const SpannerService* leader, uint64_t epoch)
     : leader_(leader), epoch_(epoch) {
   assert(leader_ != nullptr && leader_->durability() != nullptr &&
@@ -61,20 +85,15 @@ bool ReplicationGroup::converged() const {
 }
 
 ReplicationGroup::ReadResult ReplicationGroup::read_at_least(uint64_t version) {
-  // Round-robin over caught-up followers; the leader serves only when no
-  // follower can honor the client's watermark.
-  const size_t n = members_.size();
-  for (size_t k = 0; k < n; ++k) {
-    size_t i = (rr_ + k) % n;
-    const Member& m = members_[i];
-    if (m.follower->epoch() != epoch_) continue;
-    SpannerSnapshot::Ptr snap = m.follower->snapshot();
-    if (snap != nullptr && snap->version() >= version) {
-      rr_ = i + 1;
-      return {std::move(snap), static_cast<int>(i)};
-    }
-  }
-  return {leader_->snapshot(), -1};
+  ReadResult r = route_read(
+      members_.size(), rr_, version,
+      [this](size_t i) -> const FollowerReplica* {
+        const FollowerReplica* f = members_[i].follower.get();
+        return f->epoch() == epoch_ ? f : nullptr;
+      },
+      *leader_);
+  if (r.source >= 0) rr_ = static_cast<size_t>(r.source) + 1;
+  return r;
 }
 
 ReplicatedShardedReader::ReplicatedShardedReader(
@@ -94,23 +113,16 @@ ShardedView ReplicatedShardedReader::view_at_least(
   std::vector<SpannerSnapshot::Ptr> snaps(fleets_.size());
   const size_t start = rr_.fetch_add(1, std::memory_order_relaxed);
   for (size_t s = 0; s < fleets_.size(); ++s) {
+    // Leader fallback: its served version always dominates any flush()
+    // vector it produced.
     const auto& fleet = fleets_[s];
-    for (size_t k = 0; k < fleet.size() && snaps[s] == nullptr; ++k) {
-      const FollowerReplica* f = fleet[(start + k) % fleet.size()];
-      SpannerSnapshot::Ptr snap = f->snapshot();
-      if (snap != nullptr && snap->version() >= vv.v[s]) {
-        snaps[s] = std::move(snap);
-        if (sources != nullptr)
-          (*sources)[s] = static_cast<int>((start + k) % fleet.size());
-        follower_reads_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    if (snaps[s] == nullptr) {
-      // Leader fallback: its served version always dominates any flush()
-      // vector it produced.
-      snaps[s] = service_->shard_service(s).snapshot();
-      leader_reads_.fetch_add(1, std::memory_order_relaxed);
-    }
+    ReplicationGroup::ReadResult r = route_read(
+        fleet.size(), start, vv.v[s], [&fleet](size_t i) { return fleet[i]; },
+        service_->shard_service(s));
+    snaps[s] = std::move(r.snap);
+    if (sources != nullptr) (*sources)[s] = r.source;
+    (r.source >= 0 ? follower_reads_ : leader_reads_)
+        .fetch_add(1, std::memory_order_relaxed);
   }
   return ShardedView::compose(service_->router_ptr(), service_->vertex_space(),
                               std::move(snaps));

@@ -39,8 +39,8 @@
 #include <optional>
 #include <vector>
 
+#include "durability/durable_shard.hpp"
 #include "durability/wal.hpp"
-#include "durability/wal_tail.hpp"
 #include "util/rng.hpp"
 
 namespace parspan {

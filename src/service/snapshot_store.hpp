@@ -55,12 +55,22 @@ class SnapshotStore {
   /// readers assert on). The previous version's store reference is
   /// released *outside* the critical section, so a reader never waits on
   /// snapshot destruction.
-  void publish(Ptr next) {
+  void publish(Ptr next) { install(std::move(next), /*monotone=*/true); }
+
+  /// Installs `next` as the first version of a new publish chain, at any
+  /// version: a follower adopting another epoch's history, where a rebase
+  /// reuses version numbers with different content. Same single writer
+  /// and reader guarantees as publish().
+  void restart(Ptr next) { install(std::move(next), /*monotone=*/false); }
+
+ private:
+  void install(Ptr next, [[maybe_unused]] bool monotone) {
     assert(next != nullptr);
     Ptr prev;
     {
       std::lock_guard<std::mutex> lk(mu_);
-      assert(cur_ == nullptr || next->version() > cur_->version());
+      assert(!monotone || cur_ == nullptr ||
+             next->version() > cur_->version());
       prev = std::move(cur_);
       cur_ = std::move(next);
     }
@@ -68,7 +78,6 @@ class SnapshotStore {
     // teardown happens on the writer thread, off the readers' path.
   }
 
- private:
   mutable std::mutex mu_;
   Ptr cur_;
 };

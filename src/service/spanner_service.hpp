@@ -28,7 +28,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <iterator>
 #include <memory>
@@ -120,11 +119,10 @@ class SpannerService {
     svc->set_backend(make_backend(rec->n, graph_edges, rec->stretch));
 
     // Publish the EXACT pre-crash state first: readers of the restored
-    // version see byte-identical content (checksum-asserted).
-    SpannerSnapshot::Ptr restored = SpannerSnapshot::restore(
-        rec->n, rec->stretch, rec->version, std::move(rec->snap_keys));
-    assert(restored->checksum() == rec->checksum &&
-           "recover: restored snapshot checksum diverged");
+    // version see byte-identical content (checksum-asserted in restore).
+    SpannerSnapshot::Ptr restored =
+        SpannerSnapshot::restore(rec->n, rec->stretch, rec->version,
+                                 std::move(rec->snap_keys), rec->checksum);
     svc->store_.publish(restored);
 
     // Rebase epoch: the rebuilt backend's spanner is a valid spanner of
@@ -146,8 +144,9 @@ class SpannerService {
                         std::back_inserter(rebase.diff_inserted));
     rebase.checksum = snapshot_content_checksum(rec->n, rec->stretch,
                                                 rebase.version, new_keys);
-    SpannerSnapshot::Ptr rebased = SpannerSnapshot::restore(
-        rec->n, rec->stretch, rebase.version, std::move(new_keys));
+    SpannerSnapshot::Ptr rebased =
+        SpannerSnapshot::restore(rec->n, rec->stretch, rebase.version,
+                                 std::move(new_keys), rebase.checksum);
     svc->dur_->log_record(rebase);
     svc->store_.publish(rebased);
     svc->dur_->checkpoint_now(rebased->version(), rebased->checksum(),

@@ -1,6 +1,7 @@
 #include "service/spanner_snapshot.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 #include "container/flat_map.hpp"
 #include "util/rng.hpp"
@@ -23,20 +24,24 @@ uint64_t snapshot_content_checksum(uint64_t n, uint32_t stretch,
 SpannerSnapshot::Ptr SpannerSnapshot::finish(size_t n, uint32_t stretch,
                                              uint64_t version,
                                              std::vector<EdgeKey> keys) {
+  const uint64_t sum = snapshot_content_checksum(n, stretch, version, keys);
+  return restore(n, stretch, version, std::move(keys), sum);
+}
+
+SpannerSnapshot::Ptr SpannerSnapshot::restore(size_t n, uint32_t stretch,
+                                              uint64_t version,
+                                              std::vector<EdgeKey> keys,
+                                              uint64_t checksum) {
+  assert(checksum == snapshot_content_checksum(n, stretch, version, keys) &&
+         "restore: checksum does not match the keys");
   auto snap = std::shared_ptr<SpannerSnapshot>(new SpannerSnapshot());
   snap->version_ = version;
   snap->stretch_ = stretch;
   snap->n_ = n;
   snap->keys_ = std::move(keys);
   snap->csr_ = csr_build_from_keys(n, snap->keys_);
-  snap->checksum_ = snapshot_content_checksum(n, stretch, version, snap->keys_);
+  snap->checksum_ = checksum;
   return snap;
-}
-
-SpannerSnapshot::Ptr SpannerSnapshot::restore(size_t n, uint32_t stretch,
-                                              uint64_t version,
-                                              std::vector<EdgeKey> keys) {
-  return finish(n, stretch, version, std::move(keys));
 }
 
 SpannerSnapshot::Ptr SpannerSnapshot::initial(

@@ -56,12 +56,15 @@ class SpannerSnapshot {
   /// Version prev.version()+1 by applying one batch's net diff to prev.
   static Ptr apply(const SpannerSnapshot& prev, const SpannerDiff& diff);
 
-  /// Rebuilds a snapshot from recovered state: sorted-unique canonical
-  /// `keys` at an arbitrary `version` (the durability layer's recovery
-  /// path, DESIGN.md §10.4). Precondition: keys ascending, unique, in
-  /// range — recovery validates before calling.
+  /// Rebuilds a snapshot from verified state: sorted-unique canonical
+  /// `keys` at an arbitrary `version` whose content checksum the caller
+  /// has already derived as `checksum` (the chain walk of recovery, a
+  /// follower's record or snapshot adoption — DESIGN.md §10.4, §11.3), so
+  /// it is not folded a second time. Precondition: keys ascending, unique,
+  /// in range, and `checksum` equal to snapshot_content_checksum over them
+  /// (asserted in debug builds).
   static Ptr restore(size_t n, uint32_t stretch, uint64_t version,
-                     std::vector<EdgeKey> keys);
+                     std::vector<EdgeKey> keys, uint64_t checksum);
 
   uint64_t version() const { return version_; }
   uint32_t stretch() const { return stretch_; }

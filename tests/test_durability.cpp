@@ -457,6 +457,79 @@ TEST(ShardDurability, CreateWipesStaleIncarnation) {
   EXPECT_EQ(rec->checksum, r.snapshot->checksum());
 }
 
+// The read-only walk the log shipper resyncs from and recovery share one
+// chain rule; they differ only in the cap and in recovery's side effects.
+TEST(ShardDurability, ReadDurableStateWalksTheSameChainAsRecover) {
+  auto fs = std::make_shared<MemFs>();
+  DurabilityOptions opts;
+  opts.checkpoint_every = 4;
+  opts.keep_checkpoints = 2;
+
+  const size_t n = 150;
+  auto [initial, batches] = gen_mixed_stream(n, 900, 50, 22, 23);
+  auto svc = make_service(n, initial, 3, 11);
+  ASSERT_TRUE(svc->enable_durability(fs, "dur", opts, initial));
+  std::vector<uint64_t> live{svc->snapshot()->checksum()};
+  for (const auto& b : batches)
+    live.push_back(svc->apply(b.insertions, b.deletions).snapshot->checksum());
+  const uint64_t durable = svc->durability()->durable_version();
+  ASSERT_EQ(durable, batches.size());
+  svc.reset();
+
+  std::vector<uint64_t> ckpts;
+  for (const std::string& name : fs->list("dur"))
+    if (auto v = parse_checkpoint_file_name(name)) ckpts.push_back(*v);
+  std::sort(ckpts.begin(), ckpts.end());
+  ASSERT_EQ(ckpts.size(), opts.keep_checkpoints);  // the chain was rotated
+  ASSERT_GT(ckpts.front(), 0u);                    // and GC'd
+
+  // Every cap the retained chain covers restores exactly the live history;
+  // below the oldest retained checkpoint nothing can be rolled back to.
+  for (uint64_t cap = 0; cap <= durable; ++cap) {
+    auto st = read_durable_state(*fs, "dur", cap);
+    if (cap < ckpts.front()) {
+      EXPECT_FALSE(st.has_value()) << "cap " << cap;
+      continue;
+    }
+    ASSERT_TRUE(st.has_value()) << "cap " << cap;
+    EXPECT_EQ(st->version, cap);
+    EXPECT_EQ(st->checksum, live[cap]) << "cap " << cap;
+  }
+
+  // Uncapped, the read-only walk and recovery agree on the whole state.
+  auto st = read_durable_state(*fs, "dur", UINT64_MAX);
+  ASSERT_TRUE(st.has_value());
+  {
+    auto rec = ShardDurability::recover(fs, "dur", opts);
+    ASSERT_TRUE(rec.has_value());
+    EXPECT_EQ(st->version, durable);
+    EXPECT_EQ(rec->version, st->version);
+    EXPECT_EQ(rec->checksum, st->checksum);
+    EXPECT_EQ(rec->snap_keys, st->snap_keys);
+    EXPECT_EQ(rec->graph_keys, st->graph_keys);
+    EXPECT_FALSE(rec->tail_truncated);
+  }
+
+  // Rot the newest checkpoint: both fall back to the older one and replay
+  // forward to the same state; only recovery deletes the rotten file.
+  const std::string newest = "dur/" + checkpoint_file_name(ckpts.back());
+  ASSERT_TRUE(fs->corrupt_durable(newest, fs->durable_size(newest) / 2, 3));
+  auto rotted = read_durable_state(*fs, "dur", UINT64_MAX);
+  ASSERT_TRUE(rotted.has_value());
+  EXPECT_EQ(rotted->version, durable);
+  EXPECT_EQ(rotted->checksum, live[durable]);
+  EXPECT_GT(fs->durable_size(newest), 0u);  // read-only: the file stays
+
+  auto rec = ShardDurability::recover(fs, "dur", opts);
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->version, rotted->version);
+  EXPECT_EQ(rec->checksum, rotted->checksum);
+  EXPECT_EQ(rec->replayed_records, durable - ckpts.front());
+  EXPECT_EQ(fs->durable_size(newest), 0u);  // recovery removed it
+  for (const std::string& name : fs->list("dur"))
+    EXPECT_NE(parse_checkpoint_file_name(name), ckpts.back());
+}
+
 // --- Service-level recovery ------------------------------------------------
 
 TEST(ServiceRecovery, RestoresExactStateAndContinues) {

@@ -17,10 +17,12 @@
 // seeded Rng so any failing schedule replays exactly.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/fully_dynamic_spanner.hpp"
@@ -232,6 +234,47 @@ TEST(Replication, LossyTransportNeverSilentlyDiverges) {
   EXPECT_GE(total_resyncs, uint64_t(schedules - 2));
   RecordProperty("rejects", static_cast<int>(total_rejects));
   RecordProperty("resyncs", static_cast<int>(total_resyncs));
+}
+
+// --- Reads from other threads across epoch adoptions ----------------------
+
+// snapshot() is callable from any thread, also while the replication
+// thread adopts snapshots from ever-newer epochs — each adoption restarts
+// the follower's publish chain. Under ThreadSanitizer this catches a store
+// replaced (and freed) under a concurrent reader.
+TEST(Replication, SnapshotReadsStaySafeAcrossEpochAdoptions) {
+  const Workload w = make_workload(29);
+  DurabilityOptions opts;
+  LeaderFixture lf = make_ingested_leader(w, opts);
+  const uint64_t durable = lf.svc->durability()->durable_version();
+
+  auto transport = std::make_shared<ChannelTransport>();
+  FollowerReplica follower(std::make_shared<MemFs>(), "f", opts, transport);
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> reads{0}, off_oracle{0};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      SpannerSnapshot::Ptr snap = follower.snapshot();
+      if (snap == nullptr) continue;
+      reads.fetch_add(1, std::memory_order_relaxed);
+      if (snap->version() != durable || snap->checksum() != lf.oracle[durable])
+        off_oracle.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  const uint64_t epochs = 40;
+  for (uint64_t epoch = 1; epoch <= epochs; ++epoch) {
+    LogShipper shipper(lf.fs, "leader", epoch, transport);
+    follower.pump();         // advertise the cursor
+    shipper.pump(durable);   // a new epoch: the shipper resyncs
+    follower.pump();         // adopt it
+    EXPECT_EQ(follower.epoch(), epoch);
+  }
+  while (follower.has_state() && reads.load() == 0) std::this_thread::yield();
+  stop = true;
+  reader.join();
+  EXPECT_EQ(follower.snapshot_resyncs(), epochs);
+  EXPECT_EQ(follower.applied_checksum(), lf.oracle[durable]);
+  EXPECT_EQ(off_oracle.load(), 0u);
 }
 
 // --- Follower crash + local recovery ---------------------------------------
