@@ -36,6 +36,7 @@ int main() {
   DynamicGraph g(n);
   g.insert_edges(initial);
   Rng rng(99);
+  bool stretch_ok = true;
   for (size_t i = 0; i < batches.size(); ++i) {
     t.reset();
     overlay.update(batches[i].insertions, batches[i].deletions);
@@ -57,11 +58,17 @@ int main() {
         worst = std::max(worst, double(dh[v]) / double(dg[v]));
       }
     }
+    stretch_ok = stretch_ok && worst <= double(overlay.stretch_bound());
     std::printf(
         "epoch %2zu: %6zu links, overlay %5zu edges (%.2f/node), sampled "
         "stretch <= %.1f, update %.2f ms\n",
         i, g.num_edges(), overlay.spanner_size(),
         double(overlay.spanner_size()) / double(n), worst, ms);
   }
-  return 0;
+  // Both checks decide the exit code: any NO exits 1.
+  const bool invariants_ok = overlay.check_invariants();
+  std::printf("sampled stretch within bound %u: %s; invariants hold: %s\n",
+              overlay.stretch_bound(), stretch_ok ? "YES" : "NO",
+              invariants_ok ? "YES" : "NO");
+  return stretch_ok && invariants_ok ? 0 : 1;
 }

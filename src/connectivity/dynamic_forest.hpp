@@ -18,7 +18,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/cluster_spanner.hpp"  // SpannerDiff
+#include "core/spanner_diff.hpp"
 #include "util/types.hpp"
 
 namespace parspan {

@@ -12,21 +12,6 @@
 
 namespace parspan {
 
-SpannerDiff DiffAccumulator::drain() {
-  SpannerDiff diff;
-  for (EdgeKey ek : touched_) {
-    int32_t* d = delta_.find(ek);
-    assert(d != nullptr && *d >= -1 && *d <= 1);
-    if (*d > 0) diff.inserted.push_back(edge_from_key(ek));
-    if (*d < 0) diff.removed.push_back(edge_from_key(ek));
-    delta_.erase(ek);
-  }
-  touched_.clear();
-  parallel_sort(diff.inserted);
-  parallel_sort(diff.removed);
-  return diff;
-}
-
 DecrementalClusterSpanner::DecrementalClusterSpanner(
     size_t n, const std::vector<Edge>& edges,
     const ClusterSpannerConfig& cfg)
@@ -238,13 +223,13 @@ DecrementalClusterSpanner::DecrementalClusterSpanner(
         for (size_t idx = j; idx < k; ++idx)
           g.members.push_back(scratch[idx].second);
         g.rep = scratch[j].second;
-        if (c != cluster_[x]) add_contrib(edge_key(x, g.rep));
+        if (c != cluster_[x]) contrib_.add(edge_key(x, g.rep));
         j = k;
       }
     }
   }
   // Init contributions are not a "diff".
-  batch_delta_.reset();
+  contrib_.discard_delta();
 
   dirty_epoch_.assign(n, 0);
   distch_epoch_.assign(n, 0);
@@ -257,25 +242,12 @@ VertexId DecrementalClusterSpanner::cluster_from_parent(VertexId v) const {
   return src >= n_ ? v : cluster_[src];
 }
 
-void DecrementalClusterSpanner::add_contrib(EdgeKey e) {
-  if (++contrib_[e] == 1) batch_delta_.add(e);
-}
-
-void DecrementalClusterSpanner::remove_contrib(EdgeKey e) {
-  uint32_t* c = contrib_.find(e);
-  assert(c != nullptr);
-  if (--*c == 0) {
-    contrib_.erase(e);
-    batch_delta_.remove(e);
-  }
-}
-
 void DecrementalClusterSpanner::replay(const OpEffects& fx) {
   for (uint8_t i = 0; i < fx.count; ++i) {
     if (fx.removals >> i & 1u)
-      remove_contrib(fx.keys[i]);
+      contrib_.remove(fx.keys[i]);
     else
-      add_contrib(fx.keys[i]);
+      contrib_.add(fx.keys[i]);
   }
 }
 
@@ -387,7 +359,7 @@ void apply_by_owner(std::vector<uint64_t>& keys, const Apply& apply) {
 
 SpannerDiff DecrementalClusterSpanner::delete_edges(std::span<const Edge> batch) {
   ++epoch_;
-  assert(batch_delta_.empty() && "previous batch drained its delta");
+  assert(contrib_.delta_empty() && "previous batch drained its delta");
 
   // Everything batch-scoped below (doomed arc ids, dirty buckets, per-level
   // operation logs) comes from the calling thread's bump arena and is
@@ -545,14 +517,13 @@ SpannerDiff DecrementalClusterSpanner::delete_edges(std::span<const Edge> batch)
   }
 
   // --- Step 4: compile the net diff by draining the touched keys. ---
-  return batch_delta_.drain();
+  return contrib_.drain();
 }
 
 std::vector<Edge> DecrementalClusterSpanner::spanner_edges() const {
   std::vector<Edge> out;
   out.reserve(contrib_.size());
-  contrib_.for_each(
-      [&](EdgeKey ek, const uint32_t&) { out.push_back(edge_from_key(ek)); });
+  contrib_.for_each_key([&](EdgeKey ek) { out.push_back(edge_from_key(ek)); });
   return out;
 }
 
@@ -617,7 +588,7 @@ bool DecrementalClusterSpanner::check_invariants() const {
   }
 
   // Rebuild expected contributions.
-  std::unordered_map<EdgeKey, uint32_t> expect;
+  FlatHashMap<EdgeKey, uint32_t> expect;
   for (VertexId v = 0; v < n_; ++v) {
     int32_t pa = es_.parent_arc(v);
     if (pa == ESTree::kNoArc) return false;
@@ -657,12 +628,7 @@ bool DecrementalClusterSpanner::check_invariants() const {
       if (!ok) return false;
     }
   }
-  if (expect.size() != contrib_.size()) return false;
-  for (auto& [ek, cnt] : expect) {
-    const uint32_t* c = contrib_.find(ek);
-    if (c == nullptr || *c != cnt) return false;
-  }
-  return true;
+  return contrib_.matches(expect);
 }
 
 }  // namespace parspan

@@ -62,51 +62,12 @@
 #include "container/concurrent_map.hpp"
 #include "container/flat_map.hpp"
 #include "core/es_tree.hpp"
+#include "core/spanner_diff.hpp"
 #include "parallel/arena.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
 namespace parspan {
-
-/// Net change of a spanner edge set after one update batch. Producers in
-/// core/ emit both sides sorted by canonical edge key, so equal spanner
-/// evolutions compare equal element-wise.
-struct SpannerDiff {
-  std::vector<Edge> inserted;
-  std::vector<Edge> removed;
-};
-
-/// Per-batch net-diff accumulator shared by the spanner layers: a flat
-/// delta table plus the list of keys it holds. Draining by touched key
-/// keeps diff compilation O(batch) — a clear() would scan the table's
-/// whole high-water capacity every batch (DESIGN.md §6.4).
-class DiffAccumulator {
- public:
-  void bump(EdgeKey e, int32_t dir) {
-    size_t before = delta_.size();
-    int32_t& d = delta_[e];
-    if (delta_.size() != before) touched_.push_back(e);
-    d += dir;
-  }
-  void add(EdgeKey e) { bump(e, +1); }
-  void remove(EdgeKey e) { bump(e, -1); }
-
-  bool empty() const { return delta_.empty(); }
-
-  /// Compiles the net diff (both sides sorted by canonical key) and leaves
-  /// the accumulator empty. Net values must lie in [-1, 1].
-  SpannerDiff drain();
-
-  /// Discards all accumulated state without compiling a diff.
-  void reset() {
-    delta_.clear();
-    touched_.clear();
-  }
-
- private:
-  FlatHashMap<EdgeKey, int32_t> delta_;
-  std::vector<EdgeKey> touched_;
-};
 
 struct ClusterSpannerConfig {
   /// Stretch parameter: the spanner has stretch 2k-1.
@@ -214,8 +175,6 @@ class DecrementalClusterSpanner {
 
   VertexId cluster_from_parent(VertexId v) const;
   void refresh_tree_contrib(VertexId v, OpEffects& fx);
-  void add_contrib(EdgeKey e);
-  void remove_contrib(EdgeKey e);
   void replay(const OpEffects& fx);
   void add_membership(VertexId x, VertexId c, VertexId other, OpEffects& fx);
   void remove_membership(VertexId x, VertexId c, VertexId other,
@@ -273,8 +232,7 @@ class DecrementalClusterSpanner {
   };
   std::vector<FlatHashMap<VertexId, Group>> groups_;
 
-  FlatHashMap<EdgeKey, uint32_t> contrib_;  // spanner refcounts
-  DiffAccumulator batch_delta_;             // per-batch diff (DESIGN.md §6.4)
+  ContribRefcounts contrib_;  // spanner refcounts + per-batch diff (§6.4)
 
   // Cascade scratch (epoch-stamped to keep per-batch work batch-sized).
   std::vector<uint64_t> dirty_epoch_;

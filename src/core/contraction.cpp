@@ -50,16 +50,16 @@ ContractionLayer::ContractionLayer(size_t n, const std::vector<Edge>& edges,
     edges_.push_back(rec);
     ++alive_count_;
   }
-  for (VertexId v = 0; v < n; ++v) set_head(v, compute_head(v));
+  for (VertexId v = 0; v < n; ++v) head_[v] = compute_head(v);
   for (uint32_t eid = 0; eid < edges_.size(); ++eid) attach(eid);
   // head-edge contributions.
   for (VertexId v = 0; v < n; ++v) {
     if (is_sampled(v) || head_[v] == kNoVertex) continue;
     head_edge_[v] = edge_key(v, head_[v]);
-    h_add(head_edge_[v]);
+    h_.add(head_edge_[v]);
   }
-  h_delta_.reset();
-  touched_pairs_.clear();
+  h_.discard_delta();
+  ledger_.forget_touched();
 }
 
 uint64_t ContractionLayer::fresh_entry_key(VertexId other) {
@@ -80,53 +80,11 @@ VertexId ContractionLayer::compute_head(VertexId v) {
   return entry->other;
 }
 
-void ContractionLayer::set_head(VertexId v, VertexId h) { head_[v] = h; }
-
 EdgeKey ContractionLayer::pair_key_of(uint32_t eid) const {
   const EdgeRec& r = edges_[eid];
   VertexId hu = head_[r.e.u], hv = head_[r.e.v];
   if (hu == kNoVertex || hv == kNoVertex || hu == hv) return kNoEdge;
   return edge_key(next_id_[hu], next_id_[hv]);
-}
-
-void ContractionLayer::note_pair_touched(EdgeKey pk) {
-  if (touched_pairs_.contains(pk)) return;
-  Bucket* b = buckets_.find(pk);
-  touched_pairs_[pk] =
-      PairSnapshot{b != nullptr, b != nullptr ? b->rep : uint32_t(0)};
-}
-
-void ContractionLayer::bucket_add(uint32_t eid) {
-  EdgeKey pk = pair_key_of(eid);
-  if (pk == kNoEdge) return;
-  note_pair_touched(pk);
-  Bucket& b = buckets_[pk];
-  if (b.members.empty()) b.rep = eid;
-  b.members.push_back(eid);
-}
-
-void ContractionLayer::bucket_remove(uint32_t eid, EdgeKey pk) {
-  if (pk == kNoEdge) return;
-  note_pair_touched(pk);
-  Bucket* b = buckets_.find(pk);
-  assert(b != nullptr);
-  if (b->erase_member(eid))
-    buckets_.erase(pk);
-  else if (b->rep == eid)
-    b->rep = b->members[0];
-}
-
-void ContractionLayer::h_add(EdgeKey ek) {
-  if (++h_contrib_[ek] == 1) h_delta_.add(ek);
-}
-
-void ContractionLayer::h_remove(EdgeKey ek) {
-  uint32_t* it = h_contrib_.find(ek);
-  assert(it != nullptr);
-  if (--*it == 0) {
-    h_contrib_.erase(ek);
-    h_delta_.remove(ek);
-  }
 }
 
 bool ContractionLayer::edge_in_bot(uint32_t eid) const {
@@ -135,13 +93,13 @@ bool ContractionLayer::edge_in_bot(uint32_t eid) const {
 }
 
 void ContractionLayer::attach(uint32_t eid) {
-  if (edge_in_bot(eid)) h_add(edges_[eid].e.key());
-  bucket_add(eid);
+  if (edge_in_bot(eid)) h_.add(edges_[eid].e.key());
+  ledger_.add(pair_key_of(eid), eid);
 }
 
 void ContractionLayer::detach(uint32_t eid) {
-  if (edge_in_bot(eid)) h_remove(edges_[eid].e.key());
-  bucket_remove(eid, pair_key_of(eid));
+  if (edge_in_bot(eid)) h_.remove(edges_[eid].e.key());
+  ledger_.remove(pair_key_of(eid), eid);
 }
 
 void ContractionLayer::recheck_head(VertexId v) {
@@ -152,9 +110,9 @@ void ContractionLayer::recheck_head(VertexId v) {
     // if the head edge was deleted and re-inserted within this batch.
     EdgeKey want = h == kNoVertex ? kNoEdge : edge_key(v, h);
     if (head_edge_[v] != want) {
-      if (head_edge_[v] != kNoEdge) h_remove(head_edge_[v]);
+      if (head_edge_[v] != kNoEdge) h_.remove(head_edge_[v]);
       head_edge_[v] = want;
-      if (want != kNoEdge) h_add(want);
+      if (want != kNoEdge) h_.add(want);
     }
     return;
   }
@@ -165,21 +123,20 @@ void ContractionLayer::recheck_head(VertexId v) {
       [&](uint64_t, const AdjEntry& a) { incident.push_back(a.edge_id); });
   for (uint32_t eid : incident) detach(eid);
   if (head_edge_[v] != kNoEdge) {
-    h_remove(head_edge_[v]);
+    h_.remove(head_edge_[v]);
     head_edge_[v] = kNoEdge;
   }
-  set_head(v, h);
+  head_[v] = h;
   for (uint32_t eid : incident) attach(eid);
   if (h != kNoVertex) {
     head_edge_[v] = edge_key(v, h);
-    h_add(head_edge_[v]);
+    h_.add(head_edge_[v]);
   }
 }
 
 ContractionLayer::UpdateResult ContractionLayer::update(
     const std::vector<Edge>& ins, const std::vector<Edge>& del) {
-  assert(h_delta_.empty());
-  touched_pairs_.clear();
+  assert(h_.delta_empty());
   std::vector<VertexId> recheck;
   recheck.reserve(2 * (ins.size() + del.size()));
 
@@ -200,7 +157,7 @@ ContractionLayer::UpdateResult ContractionLayer::update(
     // first in case the new head edge coincides.
     for (VertexId w : {r.e.u, r.e.v}) {
       if (head_edge_[w] == r.e.key()) {
-        h_remove(head_edge_[w]);
+        h_.remove(head_edge_[w]);
         head_edge_[w] = kNoEdge;
       }
       recheck.push_back(w);
@@ -238,38 +195,25 @@ ContractionLayer::UpdateResult ContractionLayer::update(
 
   // --- Compile diffs, key-sorted (DESIGN.md §7.4). ---
   UpdateResult res;
-  SpannerDiff hd = h_delta_.drain();
+  SpannerDiff hd = h_.drain();
   res.h_ins = std::move(hd.inserted);
   res.h_del = std::move(hd.removed);
-  for (EdgeKey pk : touched_pairs_.sorted_keys()) {
-    const PairSnapshot& snap = *touched_pairs_.find(pk);
-    Bucket* b = buckets_.find(pk);
-    bool exists = b != nullptr;
-    if (snap.existed && !exists) res.next_del.push_back(edge_from_key(pk));
-    if (!snap.existed && exists) res.next_ins.push_back(edge_from_key(pk));
-    if (snap.existed && exists && snap.old_rep != b->rep)
-      res.rep_changed.push_back(edge_from_key(pk));
-  }
+  ledger_.drain(res.next_ins, res.next_del, res.rep_changed);
   return res;
 }
 
 std::vector<Edge> ContractionLayer::next_edges() const {
-  std::vector<Edge> out;
-  out.reserve(buckets_.size());
-  for (EdgeKey pk : buckets_.sorted_keys()) out.push_back(edge_from_key(pk));
-  return out;
+  return ledger_.pairs();
 }
 
 Edge ContractionLayer::rep(Edge pair) const {
-  const Bucket* b = buckets_.find(pair.key());
-  assert(b != nullptr);
-  return edges_[b->rep].e;
+  return edges_[ledger_.rep(pair.key())].e;
 }
 
 std::vector<Edge> ContractionLayer::h_edges() const {
   std::vector<Edge> out;
-  out.reserve(h_contrib_.size());
-  for (EdgeKey ek : h_contrib_.sorted_keys()) out.push_back(edge_from_key(ek));
+  out.reserve(h_.size());
+  for (EdgeKey ek : h_.sorted_keys()) out.push_back(edge_from_key(ek));
   return out;
 }
 
@@ -298,28 +242,7 @@ bool ContractionLayer::check_invariants() const {
     if (head_edge_[v] != edge_key(v, head_[v])) return false;
     ++ref_h[head_edge_[v]];
   }
-  if (ref_buckets.size() != buckets_.size()) return false;
-  bool ok = true;
-  ref_buckets.for_each([&](EdgeKey pk, std::vector<uint32_t>& members) {
-    const Bucket* b = buckets_.find(pk);
-    if (b == nullptr) {
-      ok = false;
-      return;
-    }
-    std::vector<uint32_t> have = b->members;
-    std::sort(members.begin(), members.end());
-    std::sort(have.begin(), have.end());
-    if (have != members) ok = false;
-    if (std::find(have.begin(), have.end(), b->rep) == have.end())
-      ok = false;
-  });
-  if (!ok) return false;
-  if (ref_h.size() != h_contrib_.size()) return false;
-  ref_h.for_each([&](EdgeKey ek, uint32_t c) {
-    const uint32_t* it = h_contrib_.find(ek);
-    if (it == nullptr || *it != c) ok = false;
-  });
-  return ok;
+  return ledger_.matches(ref_buckets) && h_.matches(ref_h);
 }
 
 }  // namespace parspan

@@ -18,9 +18,10 @@
 // The layer exposes exactly the objects of the paper:
 //   * H            — this layer's spanner contribution: edges with a ⊥
 //                    endpoint, plus one edge (v, Head(v)) per clustered v;
-//   * NextLevelEdges — buckets keyed by contracted pairs
+//   * NextLevelEdges — the contracted-pair ledger keyed by
 //                    (Head(u), Head(v)), with Bwd/FwdCorrespondence as the
-//                    designated representative per pair;
+//                    designated representative per pair
+//                    (core/next_level_edges.hpp);
 //   * next_ins/next_del — the update stream for the next layer.
 //
 // All dictionaries are flat open-addressing tables (DESIGN.md §1); the
@@ -35,8 +36,8 @@
 
 #include "container/counted_treap.hpp"
 #include "container/flat_map.hpp"
-#include "container/rep_bucket.hpp"
-#include "core/cluster_spanner.hpp"  // DiffAccumulator
+#include "core/next_level_edges.hpp"
+#include "core/spanner_diff.hpp"
 #include "util/types.hpp"
 
 namespace parspan {
@@ -83,7 +84,7 @@ class ContractionLayer {
 
   /// Current H contribution set (layer-local edges).
   std::vector<Edge> h_edges() const;
-  size_t h_size() const { return h_contrib_.size(); }
+  size_t h_size() const { return h_.size(); }
 
   bool check_invariants() const;
 
@@ -98,33 +99,22 @@ class ContractionLayer {
     uint64_t key_v = 0;  // entry key in Adj(e.v)
     bool alive = false;
   };
-  /// NextLevelEdges bucket of edge ids (container/rep_bucket.hpp; the rep
-  /// is assigned with the first member).
-  using Bucket = RepBucket<uint32_t>;
-
   uint64_t fresh_entry_key(VertexId other);
   VertexId compute_head(VertexId v);
-  void set_head(VertexId v, VertexId h);
 
   /// Contracted pair key for edge id (using current heads), or kNoEdge if
   /// the edge is intra-cluster / touches ⊥.
   EdgeKey pair_key_of(uint32_t eid) const;
 
-  void bucket_add(uint32_t eid);
-  void bucket_remove(uint32_t eid, EdgeKey pk);
-  void h_add(EdgeKey ek);
-  void h_remove(EdgeKey ek);
   bool edge_in_bot(uint32_t eid) const;  // has a ⊥ endpoint
 
-  /// Attaches/detaches edge contributions (bot membership + bucket) using
-  /// the CURRENT heads of both endpoints.
+  /// Attaches/detaches edge contributions (H membership via a ⊥ endpoint +
+  /// NextLevelEdges bucket) using the CURRENT heads of both endpoints.
   void attach(uint32_t eid);
   void detach(uint32_t eid);
 
   /// Recomputes Head(v); if changed, moves all incident edges.
   void recheck_head(VertexId v);
-
-  void note_pair_touched(EdgeKey pk);
 
   size_t n_ = 0;
   size_t next_n_ = 0;
@@ -141,17 +131,9 @@ class ContractionLayer {
   FlatHashMap<EdgeKey, uint32_t> edge_index_;
   size_t alive_count_ = 0;
 
-  FlatHashMap<EdgeKey, Bucket> buckets_;       // NextLevelEdges
-  FlatHashMap<EdgeKey, uint32_t> h_contrib_;   // H refcounts
+  NextLevelEdges<uint32_t> ledger_;  // contracted pairs -> edge ids
+  ContribRefcounts h_;  // H refcounts + per-batch diff (DESIGN.md §6.4)
   std::vector<EdgeKey> head_edge_;  // per-vertex (v, Head(v)) contribution
-
-  // Batch-scoped diff accumulation (drained key-sorted — DESIGN.md §6.4).
-  DiffAccumulator h_delta_;
-  struct PairSnapshot {
-    bool existed = false;
-    uint32_t old_rep = 0;
-  };
-  FlatHashMap<EdgeKey, PairSnapshot> touched_pairs_;
 };
 
 }  // namespace parspan

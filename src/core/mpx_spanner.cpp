@@ -38,8 +38,9 @@ MonotoneSpanner::MonotoneSpanner(size_t n, const std::vector<Edge>& edges,
   // witness are independent of the build schedule.
   for (uint32_t i = 0; i < count; ++i) {
     stretch_bound_ = std::max(stretch_bound_, 2 * (inst_[i]->t() - 1));
-    for (const Edge& e : inst_[i]->spanner_edges()) ++contrib_[e.key()];
+    for (const Edge& e : inst_[i]->spanner_edges()) contrib_.add(e.key());
   }
+  contrib_.discard_delta();
 }
 
 size_t MonotoneSpanner::alive_edges() const {
@@ -64,21 +65,13 @@ SpannerDiff MonotoneSpanner::delete_edges(const std::vector<Edge>& batch) {
       [&](size_t i) { diffs[i] = inst_[i]->delete_edges(batch); }, 1);
   // Phase 2 (serial, instance order): merge refcounts into the flat
   // touched-key accumulator. The drain sorts both sides by canonical key.
-  assert(delta_.empty());
+  assert(contrib_.delta_empty());
   for (const SpannerDiff& d : diffs) {
     cumulative_recourse_ += d.inserted.size() + d.removed.size();
-    for (const Edge& e : d.inserted)
-      if (++contrib_[e.key()] == 1) delta_.add(e.key());
-    for (const Edge& e : d.removed) {
-      uint32_t* c = contrib_.find(e.key());
-      assert(c != nullptr);
-      if (--*c == 0) {
-        contrib_.erase(e.key());
-        delta_.remove(e.key());
-      }
-    }
+    for (const Edge& e : d.inserted) contrib_.add(e.key());
+    for (const Edge& e : d.removed) contrib_.remove(e.key());
   }
-  return delta_.drain();
+  return contrib_.drain();
 }
 
 bool MonotoneSpanner::check_invariants() const {
@@ -87,13 +80,7 @@ bool MonotoneSpanner::check_invariants() const {
     if (!inst->check_invariants()) return false;
     for (const Edge& e : inst->spanner_edges()) ++expect[e.key()];
   }
-  if (expect.size() != contrib_.size()) return false;
-  bool ok = true;
-  expect.for_each([&](EdgeKey ek, uint32_t c) {
-    const uint32_t* it = contrib_.find(ek);
-    if (it == nullptr || *it != c) ok = false;
-  });
-  return ok;
+  return contrib_.matches(expect);
 }
 
 }  // namespace parspan

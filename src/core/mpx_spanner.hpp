@@ -28,8 +28,8 @@
 #include <memory>
 #include <vector>
 
-#include "container/flat_map.hpp"
 #include "core/cluster_spanner.hpp"
+#include "core/spanner_diff.hpp"
 #include "util/types.hpp"
 
 namespace parspan {
@@ -76,8 +76,7 @@ class MonotoneSpanner {
  private:
   size_t n_ = 0;
   std::vector<std::unique_ptr<DecrementalClusterSpanner>> inst_;
-  FlatHashMap<EdgeKey, uint32_t> contrib_;  // instance refcounts
-  DiffAccumulator delta_;                   // per-batch net diff
+  ContribRefcounts contrib_;  // instance refcounts + per-batch net diff
   uint32_t stretch_bound_ = 0;
   uint64_t cumulative_recourse_ = 0;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "parallel/csr.hpp"
 #include "util/rng.hpp"
@@ -72,13 +73,15 @@ SparseSpanner::SparseSpanner(size_t n, const std::vector<Edge>& edges,
   stretch_bound_ = 2 * k - 1;
   for (size_t i = L; i-- > 0;) {
     for (const Edge& e : layers_[i]->h_edges()) s_mem_[i].insert(e.key());
-    for (EdgeKey pk : s_mem_[i + 1].sorted_keys()) {
-      Edge r = layers_[i]->rep(edge_from_key(pk));
-      used_rep_[i][pk] = r.key();
-      bool fresh = s_mem_[i].insert(r.key());
+    SpannerDiff lifted;
+    for (EdgeKey pk : s_mem_[i + 1].sorted_keys())
+      lifted.inserted.push_back(edge_from_key(pk));
+    auto add = [&](EdgeKey r) {
+      bool fresh = s_mem_[i].insert(r);
       assert(fresh && "H and representatives must be disjoint");
       (void)fresh;
-    }
+    };
+    used_rep_[i].apply(lifted, {}, rep_of(i), [](EdgeKey) {}, add);
     stretch_bound_ = 3 * stretch_bound_ + 2;
   }
 }
@@ -99,9 +102,7 @@ SpannerDiff SparseSpanner::update(const std::vector<Edge>& insertions,
   // Maintain the layer-0 edge count (duplicates / no-ops filtered by the
   // layer itself; count via its alive counter).
   for (size_t i = 0; i < L; ++i) {
-    size_t before = layers_[i]->alive_edges();
     results[i] = layers_[i]->update(ins, del);
-    (void)before;
     ins = results[i].next_ins;
     del = results[i].next_del;
   }
@@ -130,36 +131,12 @@ SpannerDiff SparseSpanner::update(const std::vector<Edge>& insertions,
     };
     // All removals first (an edge may switch roles between H member and
     // pair representative within one batch; removals-then-additions keeps
-    // S_i a true set throughout).
+    // S_i a true set throughout): H_i's around the lift, whose own
+    // removals precede its additions.
     for (const Edge& e : results[i].h_del) s_remove(e.key());
-    for (const Edge& p : down.removed) {
-      EdgeKey* it = used_rep_[i].find(p.key());
-      assert(it != nullptr);
-      s_remove(*it);
-      used_rep_[i].erase(p.key());
-    }
-    std::vector<EdgeKey> pending_rep;  // surviving pairs with a stale rep
-    for (const Edge& p : results[i].rep_changed) {
-      EdgeKey* it = used_rep_[i].find(p.key());
-      if (it == nullptr) continue;  // pair not in S_{i+1}
-      Edge r = layers_[i]->rep(p);
-      if (*it == r.key()) continue;
-      s_remove(*it);
-      used_rep_[i].erase(p.key());
-      pending_rep.push_back(p.key());
-    }
-    // Additions.
+    used_rep_[i].apply(down, results[i].rep_changed, rep_of(i), s_remove,
+                       s_add);
     for (const Edge& e : results[i].h_ins) s_add(e.key());
-    for (const Edge& p : down.inserted) {
-      Edge r = layers_[i]->rep(p);
-      used_rep_[i][p.key()] = r.key();
-      s_add(r.key());
-    }
-    for (EdgeKey pk : pending_rep) {
-      Edge r = layers_[i]->rep(edge_from_key(pk));
-      used_rep_[i][pk] = r.key();
-      s_add(r.key());
-    }
     // Compile this layer's (key-sorted) diff for the next level down.
     down = delta.drain();
   }
@@ -171,40 +148,22 @@ bool SparseSpanner::check_invariants() const {
   for (const auto& layer : layers_)
     if (!layer->check_invariants()) return false;
   if (!top_->check_invariants()) return false;
-  auto equals = [](const FlatHashSet<EdgeKey>& ref,
-                   const FlatHashSet<EdgeKey>& have) {
-    if (ref.size() != have.size()) return false;
-    bool ok = true;
-    ref.for_each([&](EdgeKey ek) {
-      if (!have.contains(ek)) ok = false;
-    });
-    return ok;
-  };
-  // S_L must equal the top spanner.
+  // S_L must equal the top spanner (a composition with nothing lifted).
   {
     FlatHashSet<EdgeKey> ref;
     for (const Edge& e : top_->spanner_edges()) ref.insert(e.key());
-    if (!equals(ref, s_mem_[L])) return false;
+    auto none = [](EdgeKey) { return kNoEdge; };
+    if (!LiftedReps{}.check({}, none, std::move(ref), s_mem_[L]))
+      return false;
   }
   // S_i must equal H_i ∪ rep(S_{i+1}), with used_rep_ holding the actual
   // representatives (which must be current).
   for (size_t i = L; i-- > 0;) {
     FlatHashSet<EdgeKey> ref;
     for (const Edge& e : layers_[i]->h_edges()) ref.insert(e.key());
-    if (used_rep_[i].size() != s_mem_[i + 1].size()) return false;
-    bool ok = true;
-    s_mem_[i + 1].for_each([&](EdgeKey pk) {
-      const EdgeKey* it = used_rep_[i].find(pk);
-      if (it == nullptr) {
-        ok = false;
-        return;
-      }
-      Edge r = layers_[i]->rep(edge_from_key(pk));
-      if (r.key() != *it) ok = false;
-      else if (!ref.insert(r.key())) ok = false;
-    });
-    if (!ok) return false;
-    if (!equals(ref, s_mem_[i])) return false;
+    if (!used_rep_[i].check(s_mem_[i + 1].sorted_keys(), rep_of(i),
+                            std::move(ref), s_mem_[i]))
+      return false;
   }
   return true;
 }

@@ -22,6 +22,7 @@
 #include "container/flat_map.hpp"
 #include "core/contraction.hpp"
 #include "core/fully_dynamic_spanner.hpp"
+#include "core/next_level_edges.hpp"
 #include "util/types.hpp"
 
 namespace parspan {
@@ -81,7 +82,14 @@ class SparseSpanner {
   std::vector<FlatHashSet<EdgeKey>> s_mem_;
   /// used_rep_[i]: contracted pair (layer-(i+1) key) -> the layer-i edge
   /// key currently standing in for it inside S_i.
-  std::vector<FlatHashMap<EdgeKey, EdgeKey>> used_rep_;
+  std::vector<LiftedReps> used_rep_;
+
+  /// Layer i's lift lookup: contracted pair key -> representative edge key.
+  auto rep_of(size_t i) const {
+    return [layer = layers_[i].get()](EdgeKey pk) {
+      return layer->rep(edge_from_key(pk)).key();
+    };
+  }
 };
 
 }  // namespace parspan

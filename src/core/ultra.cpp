@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "parallel/arena.hpp"
 #include "parallel/parallel_for.hpp"
@@ -72,7 +73,7 @@ UltraSparseSpanner::UltraSparseSpanner(size_t n,
   h2_ = std::make_unique<SmallComponentForest>(n);
   std::vector<Edge> h2_init;
   for (const Edge& e : applied) {
-    attach(e);
+    ledger_.add(pair_key_of(e), e.key());
     if (edge_in_h2(e)) h2_init.push_back(e);
   }
   for (VertexId v = 0; v < n; ++v) {
@@ -88,10 +89,8 @@ UltraSparseSpanner::UltraSparseSpanner(size_t n,
   // Next-level structure over the contracted graph (vertex set = V).
   SparseSpannerConfig nc = cfg.next;
   nc.seed = hash_combine(cfg.seed, 0x4e7);
-  std::vector<Edge> pairs;
-  pairs.reserve(buckets_.size());
-  for (EdgeKey pk : buckets_.sorted_keys()) pairs.push_back(edge_from_key(pk));
-  next_ = std::make_unique<SparseSpanner>(n, pairs, nc);
+  next_ = std::make_unique<SparseSpanner>(n, ledger_.pairs(), nc);
+  ledger_.forget_touched();
 
   // Compose S = H1 ∪ forest(H2) ∪ rep(S_next).
   for (VertexId v = 0; v < n; ++v)
@@ -101,14 +100,12 @@ UltraSparseSpanner::UltraSparseSpanner(size_t n,
     assert(fresh);
     (void)fresh;
   }
-  for (const Edge& p : next_->spanner_edges()) {
-    EdgeKey rep = buckets_.find(p.key())->rep;
-    used_rep_[p.key()] = rep;
-    bool fresh = s_mem_.insert(rep);
-    assert(fresh);
-    (void)fresh;
-  }
-  touched_pairs_.clear();
+  used_rep_.apply({next_->spanner_edges(), {}}, {}, rep_of(), [](EdgeKey) {},
+                  [&](EdgeKey rep) {
+                    bool fresh = s_mem_.insert(rep);
+                    assert(fresh);
+                    (void)fresh;
+                  });
 }
 
 uint32_t UltraSparseSpanner::stretch_bound() const {
@@ -250,39 +247,6 @@ EdgeKey UltraSparseSpanner::pair_key_of(Edge e) const {
   return edge_key(hu, hv);
 }
 
-void UltraSparseSpanner::note_pair_touched(EdgeKey pk) {
-  if (touched_pairs_.contains(pk)) return;
-  Bucket* b = buckets_.find(pk);
-  touched_pairs_[pk] =
-      PairSnapshot{b != nullptr, b != nullptr ? b->rep : kNoEdge};
-}
-
-void UltraSparseSpanner::bucket_add(Edge e) {
-  EdgeKey pk = pair_key_of(e);
-  if (pk == kNoEdge) return;
-  note_pair_touched(pk);
-  Bucket& b = buckets_[pk];
-  if (b.members.empty()) b.rep = e.key();
-  assert(std::find(b.members.begin(), b.members.end(), e.key()) ==
-         b.members.end());
-  b.members.push_back(e.key());
-}
-
-void UltraSparseSpanner::bucket_remove(Edge e, EdgeKey pk) {
-  if (pk == kNoEdge) return;
-  note_pair_touched(pk);
-  Bucket* b = buckets_.find(pk);
-  assert(b != nullptr);
-  if (b->erase_member(e.key()))
-    buckets_.erase(pk);
-  else if (b->rep == e.key())
-    b->rep = b->members[0];
-}
-
-void UltraSparseSpanner::attach(Edge e) { bucket_add(e); }
-
-void UltraSparseSpanner::detach(Edge e) { bucket_remove(e, pair_key_of(e)); }
-
 void UltraSparseSpanner::commit_head(VertexId v, const HeadResult& hr) {
   // Move incident edges' bucket / H2 membership from the old head state to
   // the new one, and refresh the H1 parent contribution. Adjacency is
@@ -291,13 +255,13 @@ void UltraSparseSpanner::commit_head(VertexId v, const HeadResult& hr) {
   for (VertexId w : nbrs) {
     Edge e(v, w);
     if (edge_in_h2(e)) h2_net_.remove(e.key());
-    detach(e);
+    ledger_.remove(pair_key_of(e), e.key());
   }
   head_[v] = hr.head;
   for (VertexId w : nbrs) {
     Edge e(v, w);
     if (edge_in_h2(e)) h2_net_.add(e.key());
-    attach(e);
+    ledger_.add(pair_key_of(e), e.key());
   }
   EdgeKey want = kNoEdge;
   if (hr.head != kBot && hr.head != v) {
@@ -327,7 +291,6 @@ void UltraSparseSpanner::s_remove(EdgeKey ek) {
 SpannerDiff UltraSparseSpanner::update(const std::vector<Edge>& insertions,
                                        const std::vector<Edge>& deletions) {
   assert(s_delta_.empty() && h2_net_.empty());
-  touched_pairs_.clear();
 
   // --- Apply the batch to the flat graph; bookkeep per applied edge. The
   // applied lists come back canonical and key-sorted, which pins down every
@@ -337,7 +300,7 @@ SpannerDiff UltraSparseSpanner::update(const std::vector<Edge>& insertions,
   touched.reserve(2 * (removed.size() + insertions.size()));
   for (const Edge& e : removed) {
     if (edge_in_h2(e)) h2_net_.remove(e.key());
-    detach(e);
+    ledger_.remove(pair_key_of(e), e.key());
     // A dying parent edge leaves H1 immediately; the endpoint's head is
     // recomputed below.
     for (VertexId w : {e.u, e.v}) {
@@ -350,7 +313,7 @@ SpannerDiff UltraSparseSpanner::update(const std::vector<Edge>& insertions,
   }
   std::vector<Edge> added = graph_.insert_edges(insertions);
   for (const Edge& e : added) {
-    attach(e);
+    ledger_.add(pair_key_of(e), e.key());
     if (edge_in_h2(e)) h2_net_.add(e.key());
     touched.push_back(e.u);
     touched.push_back(e.v);
@@ -413,43 +376,10 @@ SpannerDiff UltraSparseSpanner::update(const std::vector<Edge>& insertions,
   // --- Next-level update and representative composition, touched pairs in
   // canonical key order. ---
   std::vector<Edge> next_ins, next_del, rep_changed;
-  for (EdgeKey pk : touched_pairs_.sorted_keys()) {
-    const PairSnapshot& snap = *touched_pairs_.find(pk);
-    Bucket* b = buckets_.find(pk);
-    bool exists = b != nullptr;
-    if (snap.existed && !exists) next_del.push_back(edge_from_key(pk));
-    if (!snap.existed && exists) next_ins.push_back(edge_from_key(pk));
-    if (snap.existed && exists && snap.old_rep != b->rep)
-      rep_changed.push_back(edge_from_key(pk));
-  }
-  SpannerDiff nd = next_->update(next_ins, next_del);
-  for (const Edge& p : nd.removed) {
-    EdgeKey* it = used_rep_.find(p.key());
-    assert(it != nullptr);
-    s_remove(*it);
-    used_rep_.erase(p.key());
-  }
-  std::vector<EdgeKey> pending;
-  for (const Edge& p : rep_changed) {
-    EdgeKey* it = used_rep_.find(p.key());
-    if (it == nullptr) continue;
-    EdgeKey cur = buckets_.find(p.key())->rep;
-    if (*it == cur) continue;
-    s_remove(*it);
-    used_rep_.erase(p.key());
-    pending.push_back(p.key());
-  }
-  for (const Edge& p : nd.inserted) {
-    EdgeKey rep = buckets_.find(p.key())->rep;
-    used_rep_[p.key()] = rep;
-    s_add(rep);
-  }
-  for (EdgeKey pk : pending) {
-    EdgeKey rep = buckets_.find(pk)->rep;
-    used_rep_[pk] = rep;
-    s_add(rep);
-  }
-  touched_pairs_.clear();
+  ledger_.drain(next_ins, next_del, rep_changed);
+  used_rep_.apply(
+      next_->update(next_ins, next_del), rep_changed, rep_of(),
+      [&](EdgeKey ek) { s_remove(ek); }, [&](EdgeKey ek) { s_add(ek); });
 
   // Apply deferred S mutations: removals first, then insertions.
   for (EdgeKey ek : pending_rem_) {
@@ -502,51 +432,26 @@ bool UltraSparseSpanner::check_invariants() const {
   // Buckets from scratch.
   FlatHashMap<EdgeKey, std::vector<EdgeKey>> ref_buckets;
   size_t h2_edges = 0;
-  bool ok = true;
   graph_.for_each_edge([&](Edge e) {
     EdgeKey pk = pair_key_of(e);
     if (pk != kNoEdge) ref_buckets[pk].push_back(e.key());
     if (edge_in_h2(e)) ++h2_edges;
   });
-  if (ref_buckets.size() != buckets_.size()) return false;
-  ref_buckets.for_each([&](EdgeKey pk, std::vector<EdgeKey>& members) {
-    const Bucket* b = buckets_.find(pk);
-    if (b == nullptr) {
-      ok = false;
-      return;
-    }
-    std::vector<EdgeKey> have = b->members;
-    std::sort(members.begin(), members.end());
-    std::sort(have.begin(), have.end());
-    if (have != members) ok = false;
-    if (std::find(have.begin(), have.end(), b->rep) == have.end())
-      ok = false;
-  });
-  if (!ok) return false;
+  if (!ledger_.matches(ref_buckets)) return false;
   if (h2_->num_edges() != h2_edges) return false;
   if (!h2_->check_invariants()) return false;
   if (!next_->check_invariants()) return false;
   // Next structure's graph must equal the bucket pairs.
-  if (next_->num_edges() != buckets_.size()) return false;
-  // Composition.
+  if (next_->num_edges() != ledger_.size()) return false;
+  // Composition S = H1 ∪ forest(H2) ∪ rep(S_next).
   FlatHashSet<EdgeKey> ref_s;
   for (VertexId v = 0; v < n_; ++v)
     if (par_edge_[v] != kNoEdge) ref_s.insert(par_edge_[v]);
   for (const Edge& e : h2_->forest_edges())
     if (!ref_s.insert(e.key())) return false;
-  auto ns = next_->spanner_edges();
-  if (used_rep_.size() != ns.size()) return false;
-  for (const Edge& p : ns) {
-    const EdgeKey* it = used_rep_.find(p.key());
-    if (it == nullptr) return false;
-    if (buckets_.find(p.key())->rep != *it) return false;
-    if (!ref_s.insert(*it)) return false;
-  }
-  if (ref_s.size() != s_mem_.size()) return false;
-  ref_s.for_each([&](EdgeKey ek) {
-    if (!s_mem_.contains(ek)) ok = false;
-  });
-  return ok;
+  std::vector<EdgeKey> ns;
+  for (const Edge& p : next_->spanner_edges()) ns.push_back(p.key());
+  return used_rep_.check(ns, rep_of(), std::move(ref_s), s_mem_);
 }
 
 }  // namespace parspan

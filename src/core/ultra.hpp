@@ -19,7 +19,8 @@
 //    clustered vertex (Lemma 5.3 guarantees the parent is in-cluster).
 //  * H2 = a spanning forest of the edges with both endpoints ⊥, maintained
 //    by SmallComponentForest (the [AABD19] substitution, DESIGN.md §1).
-//  * NextLevelEdges buckets + representatives map the contracted graph
+//  * NextLevelEdges (the contracted-pair ledger of core/next_level_edges.hpp,
+//    shared with Lemma 4.1's ContractionLayer) maps the contracted graph
 //    (over the original vertex-id space, as in the paper's white-box use
 //    of Theorem 1.3) into a SparseSpanner.
 //
@@ -47,7 +48,7 @@
 
 #include "connectivity/dynamic_forest.hpp"
 #include "container/flat_map.hpp"
-#include "container/rep_bucket.hpp"
+#include "core/next_level_edges.hpp"
 #include "core/sparse_spanner.hpp"
 #include "graph/dynamic_graph.hpp"
 #include "util/types.hpp"
@@ -141,11 +142,6 @@ class UltraSparseSpanner {
     return head_[e.u] == kBot && head_[e.v] == kBot;
   }
 
-  void bucket_add(Edge e);
-  void bucket_remove(Edge e, EdgeKey pk);
-  void note_pair_touched(EdgeKey pk);
-  void attach(Edge e);
-  void detach(Edge e);
   void commit_head(VertexId v, const HeadResult& hr);
 
   void s_add(EdgeKey ek);
@@ -163,25 +159,22 @@ class UltraSparseSpanner {
   std::vector<EdgeKey> par_edge_;  // H1 contribution per vertex
 
   /// NextLevelEdges[(c, c')]: the alive layer-0 edges whose endpoint heads
-  /// are {c, c'}, plus the designated representative (container/
-  /// rep_bucket.hpp; the rep is assigned with the first member).
-  using Bucket = RepBucket<EdgeKey>;
-  FlatHashMap<EdgeKey, Bucket> buckets_;
+  /// are {c, c'}, plus the designated representative.
+  NextLevelEdges<EdgeKey> ledger_;
 
   std::unique_ptr<SmallComponentForest> h2_;
   std::unique_ptr<SparseSpanner> next_;
 
   // Final spanner composition S = H1 ∪ forest(H2) ∪ rep(S_next).
   FlatHashSet<EdgeKey> s_mem_;
-  FlatHashMap<EdgeKey, EdgeKey> used_rep_;  // pair -> layer-0 edge
+  LiftedReps used_rep_;  // pair -> layer-0 edge
+  /// The lift lookup: contracted pair key -> representative edge key.
+  auto rep_of() const {
+    return [this](EdgeKey pk) { return ledger_.rep(pk); };
+  }
   DiffAccumulator s_delta_;
 
   // Batch-scoped accumulators.
-  struct PairSnapshot {
-    bool existed = false;
-    EdgeKey old_rep = kNoEdge;
-  };
-  FlatHashMap<EdgeKey, PairSnapshot> touched_pairs_;
   DiffAccumulator h2_net_;                          // H2 membership churn
   std::vector<EdgeKey> pending_add_, pending_rem_;  // deferred S mutations
 

@@ -5,8 +5,6 @@
 
 namespace parspan {
 
-thread_local int Scheduler::tl_worker_index_ = -1;
-
 namespace {
 
 // A submitted std::function root task: heap-allocated, self-deleting.

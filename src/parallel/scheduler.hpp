@@ -327,7 +327,10 @@ class Scheduler {
   std::atomic<uint64_t> stat_stolen_{0};
   std::atomic<uint64_t> stat_parks_{0};
 
-  static thread_local int tl_worker_index_;  // -1 on non-pool threads
+  // -1 on non-pool threads. Defined inline with its constant initializer,
+  // so accesses need no TLS wrapper call: with the out-of-line definition,
+  // gcc 12's UBSan reports a null load in on_worker().
+  static inline thread_local int tl_worker_index_ = -1;
 };
 
 /// Loop parallelism of the process-wide scheduler (compat shim for the

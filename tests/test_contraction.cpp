@@ -2,15 +2,37 @@
 // sparse spanner (Theorem 1.3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "core/contraction.hpp"
 #include "core/sparse_spanner.hpp"
 #include "graph/generators.hpp"
+#include "parallel/csr.hpp"
+#include "util/rng.hpp"
 #include "verify/spanner_check.hpp"
 
 namespace parspan {
 namespace {
+
+/// Contracted pair -> representative edge key, for every current pair.
+std::unordered_map<EdgeKey, EdgeKey> reps_of(const ContractionLayer& layer) {
+  std::unordered_map<EdgeKey, EdgeKey> out;
+  for (const Edge& p : layer.next_edges()) out[p.key()] = layer.rep(p).key();
+  return out;
+}
+
+std::unordered_set<EdgeKey> key_set(const std::vector<Edge>& es) {
+  std::unordered_set<EdgeKey> out;
+  for (const Edge& e : es) out.insert(e.key());
+  return out;
+}
+
+bool has_key(const std::vector<Edge>& es, EdgeKey ek) {
+  return std::any_of(es.begin(), es.end(),
+                     [&](const Edge& e) { return e.key() == ek; });
+}
 
 TEST(ContractionLayer, InitInvariantsAndLemma41Postconditions) {
   for (uint64_t seed : {1u, 2u, 3u}) {
@@ -59,7 +81,20 @@ TEST_P(ContractionRandom, MixedStreamKeepsInvariants) {
   for (const Edge& e : layer.h_edges()) h_mat.insert(e.key());
 
   for (auto& b : batches) {
+    auto reps_before = reps_of(layer);
     auto res = layer.update(b.insertions, b.deletions);
+    // rep_changed lists exactly the pairs that survived the batch with
+    // another representative, key-sorted.
+    auto reps_after = reps_of(layer);
+    std::vector<Edge> want_changed;
+    for (const Edge& p : layer.next_edges()) {
+      auto it = reps_before.find(p.key());
+      if (it != reps_before.end() && it->second != reps_after[p.key()])
+        want_changed.push_back(p);
+    }
+    ASSERT_EQ(res.rep_changed.size(), want_changed.size());
+    for (size_t i = 0; i < want_changed.size(); ++i)
+      ASSERT_EQ(res.rep_changed[i].key(), want_changed[i].key());
     for (const Edge& e : res.next_del) {
       ASSERT_TRUE(next_mat.count(e.key()));
       next_mat.erase(e.key());
@@ -173,6 +208,61 @@ INSTANTIATE_TEST_SUITE_P(
                         std::vector<double>{3.0, 2.0, 2.0}, uint64_t{4}),
         std::make_tuple(size_t{30}, size_t{90}, std::vector<double>{4.0},
                         uint64_t{5})));
+
+TEST(SparseSpanner, RepChangedPairsSwapRepresentatives) {
+  const size_t n = 150;
+  auto [initial, batches] = gen_mixed_stream(n, 600, 30, 40, 11);
+  SparseSpannerConfig cfg;
+  cfg.seed = 23;
+  cfg.xs = {2.5, 2.0};
+  SparseSpanner sp(n, initial, cfg);
+  ASSERT_EQ(sp.num_layers(), 2u);
+  // A twin of the spanner's layer 0: SparseSpanner builds layer i from the
+  // canonical edge list with seed hash_combine(cfg.seed, 0xc0 + i) and
+  // feeds layer 0 the raw batches, so the twin reports the rep_changed
+  // pairs that S_0 = H_0 ∪ rep(S_1) must follow.
+  std::vector<Edge> canon;
+  for (EdgeKey ek : canonical_edge_keys(n, initial))
+    canon.push_back(edge_from_key(ek));
+  ContractionLayer layer0(n, canon, cfg.xs[0], hash_combine(cfg.seed, 0xc0));
+
+  size_t reporting_batches = 0, swaps = 0;
+  for (auto& b : batches) {
+    auto reps_before = reps_of(layer0);
+    auto s_before = key_set(sp.spanner_edges());
+    auto res = layer0.update(b.insertions, b.deletions);
+    auto diff = sp.update(b.insertions, b.deletions);
+    ASSERT_TRUE(sp.check_invariants());
+    auto reps_after = reps_of(layer0);
+    auto s_after = key_set(sp.spanner_edges());
+    auto h_after = key_set(layer0.h_edges());
+    for (EdgeKey ek : h_after) ASSERT_TRUE(s_after.count(ek));  // twin in step
+    std::unordered_set<EdgeKey> current_reps;
+    for (auto& [pk, r] : reps_after) current_reps.insert(r);
+
+    if (!res.rep_changed.empty()) ++reporting_batches;
+    for (const Edge& p : res.rep_changed) {
+      ASSERT_TRUE(reps_before.count(p.key()));  // existed before the batch
+      ASSERT_TRUE(reps_after.count(p.key()));   // and survived it
+      EdgeKey old_rep = reps_before[p.key()], new_rep = reps_after[p.key()];
+      ASSERT_NE(old_rep, new_rep);
+      // Bucket members are never in H_0, so p was in S_1 iff its
+      // representative was in S_0.
+      if (!s_before.count(old_rep)) continue;
+      // The old representative leaves S_0 unless it took another role.
+      if (!h_after.count(old_rep) && !current_reps.count(old_rep))
+        ASSERT_TRUE(has_key(diff.removed, old_rep));
+      // While p stays in S_1, the new representative stands in for it.
+      if (s_after.count(new_rep)) {
+        ASSERT_TRUE(s_before.count(new_rep) ||
+                    has_key(diff.inserted, new_rep));
+        ++swaps;
+      }
+    }
+  }
+  EXPECT_GT(reporting_batches, 0u);
+  EXPECT_GT(swaps, 0u);
+}
 
 TEST(SparseSpanner, FullDeletionThenRebuild) {
   auto edges = gen_erdos_renyi(50, 250, 9);

@@ -1,6 +1,8 @@
 // Tests for the ultra-sparse spanner (Lemma 5.1 / Theorem 1.4).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "core/ultra.hpp"
@@ -85,6 +87,63 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(size_t{50}, size_t{300}, uint32_t{3}, uint64_t{3}),
         std::make_tuple(size_t{25}, size_t{80}, uint32_t{2}, uint64_t{4}),
         std::make_tuple(size_t{60}, size_t{900}, uint32_t{4}, uint64_t{5})));
+
+/// Contracted pair (Head(u), Head(v)) -> its member edge in S. S holds the
+/// representative of each pair of the next level's spanner and no other
+/// member of any pair, so a pair has at most one stand-in.
+std::unordered_map<EdgeKey, EdgeKey> stand_ins(
+    const UltraSparseSpanner& sp, const std::unordered_set<EdgeKey>& live) {
+  std::unordered_map<EdgeKey, EdgeKey> out;
+  for (EdgeKey ek : live) {
+    Edge e = edge_from_key(ek);
+    VertexId hu = sp.head(e.u), hv = sp.head(e.v);
+    if (hu == kNoVertex || hv == kNoVertex || hu == hv) continue;
+    if (!sp.in_spanner(e)) continue;
+    EXPECT_TRUE(out.emplace(edge_key(hu, hv), ek).second);
+  }
+  return out;
+}
+
+bool has_key(const std::vector<Edge>& es, EdgeKey ek) {
+  return std::any_of(es.begin(), es.end(),
+                     [&](const Edge& e) { return e.key() == ek; });
+}
+
+TEST(UltraSparseSpanner, RepChangedPairsSwapRepresentatives) {
+  // A pair that stays in the next level's spanner while its representative
+  // changes (rep_changed) must swap stand-ins in S within the same batch:
+  // the old representative leaves, the new one enters.
+  const size_t n = 200;
+  auto [initial, batches] = gen_mixed_stream(n, 1000, 40, 40, 17);
+  UltraConfig cfg;
+  cfg.x = 2;
+  cfg.seed = 29;
+  UltraSparseSpanner sp(n, initial, cfg);
+  std::unordered_set<EdgeKey> live;
+  for (const Edge& e : initial) live.insert(e.key());
+
+  size_t swaps = 0;
+  for (auto& b : batches) {
+    auto before = stand_ins(sp, live);
+    std::unordered_set<EdgeKey> s_before;
+    for (const Edge& e : sp.spanner_edges()) s_before.insert(e.key());
+    auto diff = sp.update(b.insertions, b.deletions);
+    ASSERT_TRUE(sp.check_invariants());
+    for (const Edge& e : b.deletions) live.erase(e.key());
+    for (const Edge& e : b.insertions) live.insert(e.key());
+    auto after = stand_ins(sp, live);
+    for (auto& [pk, old_rep] : before) {
+      auto it = after.find(pk);
+      if (it == after.end() || it->second == old_rep) continue;
+      EdgeKey new_rep = it->second;
+      ++swaps;
+      ASSERT_TRUE(has_key(diff.removed, old_rep) ||
+                  sp.in_spanner(edge_from_key(old_rep)));
+      ASSERT_TRUE(has_key(diff.inserted, new_rep) || s_before.count(new_rep));
+    }
+  }
+  EXPECT_GT(swaps, 0u);
+}
 
 TEST(UltraSparseSpanner, DeleteEverything) {
   auto edges = gen_erdos_renyi(40, 400, 9);
