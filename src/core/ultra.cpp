@@ -53,6 +53,7 @@ UltraSparseSpanner::UltraSparseSpanner(size_t n,
   // parallel loop itself.
   head_.assign(n, kBot);
   par_edge_.assign(n, kNoEdge);
+  reach_.assign(n, 0);
   scratch_.resize(size_t(std::max(1, executor_slots())));
   ArenaScope head_scratch;  // res is construction-scoped (DESIGN.md §12.5)
   ArenaVector<HeadResult> res(n);
@@ -79,10 +80,8 @@ UltraSparseSpanner::UltraSparseSpanner(size_t n,
   for (VertexId v = 0; v < n; ++v) {
     const HeadResult& hr = res[v];
     assert(hr.head == head_[v]);
-    if (hr.head != kBot && hr.head != v) {
-      assert(hr.par != kNoVertex);
-      par_edge_[v] = edge_key(v, hr.par);
-    }
+    par_edge_[v] = h1_edge(v, hr);
+    reach_[v] = hr.reach;
   }
   h2_->update(h2_init, {});
 
@@ -187,7 +186,10 @@ UltraSparseSpanner::HeadResult UltraSparseSpanner::compute_head(
     std::swap(hs.frontier, hs.next);
   }
   if (bc != kNoVertex) {
+    // The break above examined levels 0..bd: the result depends on no
+    // vertex farther than the winning distance.
     hr.head = bc;
+    hr.reach = bd;
     // Parent: first hop from v toward the realizing vertex bw (== the head
     // itself when adjacent). bw != v: v is light and unsampled, so it never
     // offers at level 0.
@@ -201,44 +203,44 @@ UltraSparseSpanner::HeadResult UltraSparseSpanner::compute_head(
   // has at most 10 x log x vertices (a radius-truncated BFS has visited
   // more than T_ of them), else v stays its own unclustered vertex.
   hr.head = ball <= size_t(T_) ? kBot : v;
+  hr.reach = T_;
   return hr;
 }
 
-std::vector<VertexId> UltraSparseSpanner::light_need_recompute(
+const std::vector<VertexId>& UltraSparseSpanner::light_need_recompute(
     const std::vector<VertexId>& seeds) {
-  // Algorithm 6: BFS of radius T_ from the seeds, branching through light
-  // vertices and through (heavy) seeds. Epoch-stamped marks keep the sweep
-  // allocation-free; the result is sorted so the downstream recompute and
-  // commit order is canonical.
-  if (seed_mark_.size() < n_) {
-    seed_mark_.resize(n_, 0);
-    visit_mark_.resize(n_, 0);
-  }
+  // Algorithm 6: BFS of radius T_ from the seeds, branching through the
+  // seeds and through light vertices. A light vertex z first reached at a
+  // level above reach_[z] has no seed within its reach, so its head, parent
+  // and reach stand (DESIGN.md §7.2): it is neither collected nor expanded.
+  // Heavy non-seeds keep their heads and are never branched through; a
+  // sampled non-seed has reach 0, so the level test skips it. The marks
+  // are epoch-stamped and the buffers are members, so the sweep does not
+  // allocate after warm-up; the result is sorted so the downstream
+  // recompute and commit order is canonical.
+  if (visit_mark_.size() < n_) visit_mark_.resize(n_, 0);
   ++mark_epoch_;
-  std::vector<VertexId> visited = seeds;
-  std::vector<VertexId> frontier = seeds;
+  a6_frontier_.assign(seeds.begin(), seeds.end());
+  a6_out_.clear();
   for (VertexId s : seeds) {
-    seed_mark_[s] = mark_epoch_;
     visit_mark_[s] = mark_epoch_;
+    if (!heavy(s) && !sampled_[s]) a6_out_.push_back(s);
   }
-  for (uint32_t level = 1; level <= T_ && !frontier.empty(); ++level) {
-    std::vector<VertexId> next;
-    for (VertexId w : frontier) {
-      if (heavy(w) && seed_mark_[w] != mark_epoch_) continue;
+  for (uint32_t level = 1; level <= T_ && !a6_frontier_.empty(); ++level) {
+    a6_next_.clear();
+    for (VertexId w : a6_frontier_) {
       for (VertexId z : graph_.neighbors(w)) {
         if (visit_mark_[z] == mark_epoch_) continue;
         visit_mark_[z] = mark_epoch_;
-        next.push_back(z);
-        visited.push_back(z);
+        if (heavy(z) || level > reach_[z]) continue;
+        a6_next_.push_back(z);
+        a6_out_.push_back(z);
       }
     }
-    frontier = std::move(next);
+    std::swap(a6_frontier_, a6_next_);
   }
-  std::vector<VertexId> out;
-  for (VertexId w : visited)
-    if (!heavy(w) && !sampled_[w]) out.push_back(w);
-  std::sort(out.begin(), out.end());
-  return out;
+  std::sort(a6_out_.begin(), a6_out_.end());
+  return a6_out_;
 }
 
 EdgeKey UltraSparseSpanner::pair_key_of(Edge e) const {
@@ -263,11 +265,7 @@ void UltraSparseSpanner::commit_head(VertexId v, const HeadResult& hr) {
     if (edge_in_h2(e)) h2_net_.add(e.key());
     ledger_.add(pair_key_of(e), e.key());
   }
-  EdgeKey want = kNoEdge;
-  if (hr.head != kBot && hr.head != v) {
-    assert(hr.par != kNoVertex);
-    want = edge_key(v, hr.par);
-  }
+  EdgeKey want = h1_edge(v, hr);
   if (par_edge_[v] != want) {
     if (par_edge_[v] != kNoEdge) s_remove(par_edge_[v]);
     par_edge_[v] = want;
@@ -338,16 +336,19 @@ SpannerDiff UltraSparseSpanner::update(const std::vector<Edge>& insertions,
           hres[i] = compute_head(v, slot_for_thread(scratch_));
       },
       /*grain=*/1);
+  auto commit_if_changed = [&](VertexId v, const HeadResult& hr) {
+    reach_[v] = hr.reach;
+    if (hr.head != head_[v] || par_edge_[v] != h1_edge(v, hr))
+      commit_head(v, hr);
+  };
   for (size_t i = 0; i < touched.size(); ++i) {
     VertexId v = touched[i];
     if (!sampled_[v] && !heavy(v)) continue;  // light handled below
-    const HeadResult& hr = hres[i];
-    EdgeKey want = (hr.head != kBot && hr.head != v)
-                       ? edge_key(v, hr.par)
-                       : kNoEdge;
-    if (hr.head != head_[v] || par_edge_[v] != want) commit_head(v, hr);
+    commit_if_changed(v, hres[i]);
   }
-  std::vector<VertexId> lights = light_need_recompute(touched);
+  // Algorithm 6 reads the reaches stored before the batch: the heavy
+  // commits above rewrite only seeds' reaches, which it does not read.
+  const std::vector<VertexId>& lights = light_need_recompute(touched);
   ArenaVector<HeadResult> lres(lights.size());
   parallel_for(
       0, lights.size(),
@@ -355,14 +356,8 @@ SpannerDiff UltraSparseSpanner::update(const std::vector<Edge>& insertions,
         lres[i] = compute_head(lights[i], slot_for_thread(scratch_));
       },
       /*grain=*/1);
-  for (size_t i = 0; i < lights.size(); ++i) {
-    VertexId v = lights[i];
-    const HeadResult& hr = lres[i];
-    EdgeKey want = (hr.head != kBot && hr.head != v)
-                       ? edge_key(v, hr.par)
-                       : kNoEdge;
-    if (hr.head != head_[v] || par_edge_[v] != want) commit_head(v, hr);
-  }
+  for (size_t i = 0; i < lights.size(); ++i)
+    commit_if_changed(lights[i], lres[i]);
 
   // --- H2 forest update (the accumulator nets the membership churn and
   // drains it key-sorted). ---
@@ -406,15 +401,15 @@ std::vector<Edge> UltraSparseSpanner::spanner_edges() const {
 }
 
 bool UltraSparseSpanner::check_invariants() const {
-  // Reference heads: heavy/sampled from adjacency, then light against the
-  // committed heavy heads.
+  // Reference heads, H1 parent edges and reaches: heavy/sampled from
+  // adjacency, light against the committed heavy heads. A vertex Algorithm 6
+  // skipped must still hold what a fresh Algorithm 5 computes.
   HeadScratch hs;
-  for (VertexId v = 0; v < n_; ++v)
-    if (sampled_[v] || heavy(v))
-      if (compute_head(v, hs).head != head_[v]) return false;
   for (VertexId v = 0; v < n_; ++v) {
-    if (sampled_[v] || heavy(v)) continue;
-    if (compute_head(v, hs).head != head_[v]) return false;
+    HeadResult hr = compute_head(v, hs);
+    if (hr.head != head_[v] || h1_edge(v, hr) != par_edge_[v] ||
+        hr.reach != reach_[v])
+      return false;
   }
   // H1 parent contributions: for clustered v the stored edge must connect v
   // to a live neighbor sharing v's head.

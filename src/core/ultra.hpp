@@ -24,10 +24,13 @@
 //    (over the original vertex-id space, as in the paper's white-box use
 //    of Theorem 1.3) into a SparseSpanner.
 //
-// After a batch, recomputation follows the paper exactly: heavy heads are
-// refreshed at updated endpoints first; Algorithm 6's bounded BFS then
-// collects every light vertex whose Algorithm-5 ball was touched, and those
-// are recomputed against the committed heavy heads.
+// After a batch, recomputation follows the paper: heavy heads are refreshed
+// at updated endpoints first; Algorithm 6's bounded BFS then collects the
+// light vertices that have a touched vertex within their reach — the radius
+// their last Algorithm-5 result depended on — and those are recomputed
+// against the committed heavy heads. The BFS neither collects nor expands a
+// light vertex first reached beyond its reach: its head, parent and reach
+// cannot have changed (DESIGN.md §7.2 has the proof).
 //
 // Layout & parallelism (DESIGN.md §7.2): adjacency is the flat DynamicGraph
 // substrate (per-vertex dense vectors + one flat position index); buckets,
@@ -92,6 +95,16 @@ class UltraSparseSpanner {
   VertexId head(VertexId v) const { return head_[v]; }
   bool is_sampled(VertexId v) const { return sampled_[v] != 0; }
   uint32_t heavy_threshold() const { return T_; }
+  /// H1 parent of v (its neighbor toward head(v)); kNoVertex when v is a
+  /// center, unclustered or ⊥.
+  VertexId parent(VertexId v) const {
+    return par_edge_[v] == kNoEdge ? kNoVertex
+                                   : edge_from_key(par_edge_[v]).other(v);
+  }
+  /// Radius of v's Algorithm-5 ball that head(v) depends on: the distance of
+  /// the winning candidate, T when v is ⊥ or unclustered, 0 when v is
+  /// sampled or heavy.
+  uint32_t reach(VertexId v) const { return reach_[v]; }
 
   /// Composed stretch witness: 21 x log x · (L+1) over the next level's L.
   uint32_t stretch_bound() const;
@@ -104,7 +117,14 @@ class UltraSparseSpanner {
   struct HeadResult {
     VertexId head = kBot;
     VertexId par = kNoVertex;  // neighbor toward the head (kNoVertex: none)
+    uint32_t reach = 0;        // see reach(v)
   };
+  /// The H1 edge a head result contributes for v (kNoEdge: none).
+  static EdgeKey h1_edge(VertexId v, const HeadResult& hr) {
+    if (hr.head == kBot || hr.head == v) return kNoEdge;
+    assert(hr.par != kNoVertex);
+    return edge_key(v, hr.par);
+  }
 
   /// Epoch-stamped scratch for one Algorithm-5 ball: O(ball) touched words
   /// per call, no per-call allocation after warm-up. One instance per
@@ -131,10 +151,11 @@ class UltraSparseSpanner {
   /// heads; does not mutate structure state (scratch is caller-owned).
   HeadResult compute_head(VertexId v, HeadScratch& hs) const;
 
-  /// Algorithm 6: light vertices whose Algorithm-5 ball contains a seed,
-  /// branching through light vertices and through heavy seeds. Returns the
-  /// affected light vertices sorted ascending.
-  std::vector<VertexId> light_need_recompute(
+  /// Algorithm 6 pruned by reach: the light unsampled vertices with a seed
+  /// within their reach, branching through seeds and through light vertices
+  /// reached within their reach. Returns them sorted ascending (a view of
+  /// member scratch, valid until the next call).
+  const std::vector<VertexId>& light_need_recompute(
       const std::vector<VertexId>& seeds);
 
   EdgeKey pair_key_of(Edge e) const;
@@ -157,6 +178,7 @@ class UltraSparseSpanner {
 
   std::vector<VertexId> head_;
   std::vector<EdgeKey> par_edge_;  // H1 contribution per vertex
+  std::vector<uint32_t> reach_;    // HeadResult::reach per vertex
 
   /// NextLevelEdges[(c, c')]: the alive layer-0 edges whose endpoint heads
   /// are {c, c'}, plus the designated representative.
@@ -178,9 +200,11 @@ class UltraSparseSpanner {
   DiffAccumulator h2_net_;                          // H2 membership churn
   std::vector<EdgeKey> pending_add_, pending_rem_;  // deferred S mutations
 
-  // Algorithm-6 scratch (epoch-stamped seed/visited marks).
-  std::vector<uint64_t> seed_mark_, visit_mark_;
+  // Algorithm-6 scratch: epoch-stamped visited marks, the level buffers and
+  // the returned recompute set.
+  std::vector<uint64_t> visit_mark_;
   uint64_t mark_epoch_ = 0;
+  std::vector<VertexId> a6_frontier_, a6_next_, a6_out_;
   // Per-thread Algorithm-5 scratch for the parallel compute phases.
   mutable std::vector<HeadScratch> scratch_;
 };

@@ -7,6 +7,7 @@
 
 #include "core/ultra.hpp"
 #include "graph/generators.hpp"
+#include "parallel/scheduler.hpp"
 #include "verify/spanner_check.hpp"
 
 namespace parspan {
@@ -173,6 +174,133 @@ TEST(UltraSparseSpanner, SparseGraphBotComponents) {
   // Components with no sampled vertex are ⊥-clusters in the H2 forest; the
   // spanner of a forest is the forest itself.
   EXPECT_EQ(sp.spanner_size(), edges.size());
+}
+
+class UltraChurnShape : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(UltraChurnShape, ReachPrunedRecomputeAcrossThreadCounts) {
+  // perfbench's ultra-churn shape scaled down: average degree 3.2, so most
+  // vertices are light and many have a candidate closer than T. Algorithm 6
+  // then reaches light vertices past their reach and skips them; every
+  // batch must still leave the heads, parents and reaches a fresh
+  // Algorithm 5 computes (check_invariants), at 1 and at 4 workers alike.
+  const uint32_t x = GetParam();
+  const size_t n = 4096;
+  auto [initial, batches] = gen_mixed_stream(n, 6554, 64, 40, 23);
+  UltraConfig cfg;
+  cfg.x = x;
+  cfg.seed = 31;
+
+  int saved = num_workers();
+  std::vector<SpannerDiff> base;
+  std::vector<std::vector<Edge>> base_spanner;
+  size_t short_reach = 0;  // light unsampled vertices with reach < T
+  set_num_workers(1);
+  {
+    UltraSparseSpanner sp(n, initial, cfg);
+    for (size_t i = 0; i < batches.size(); ++i) {
+      base.push_back(sp.update(batches[i].insertions, batches[i].deletions));
+      base_spanner.push_back(sp.spanner_edges());
+      ASSERT_TRUE(sp.check_invariants()) << "batch " << i;
+    }
+    for (VertexId v = 0; v < n; ++v)
+      if (sp.reach(v) > 0 && sp.reach(v) < sp.heavy_threshold()) ++short_reach;
+  }
+  EXPECT_GT(short_reach, n / 4);
+  set_num_workers(4);
+  {
+    UltraSparseSpanner sp(n, initial, cfg);
+    for (size_t i = 0; i < batches.size(); ++i) {
+      SpannerDiff d = sp.update(batches[i].insertions, batches[i].deletions);
+      ASSERT_EQ(d.inserted, base[i].inserted) << "batch " << i;
+      ASSERT_EQ(d.removed, base[i].removed) << "batch " << i;
+      ASSERT_EQ(sp.spanner_edges(), base_spanner[i]) << "batch " << i;
+      ASSERT_TRUE(sp.check_invariants()) << "batch " << i;
+    }
+  }
+  set_num_workers(saved);
+}
+
+INSTANTIATE_TEST_SUITE_P(X, UltraChurnShape, ::testing::Values(2u, 3u));
+
+/// Heads and H1 parents of `sp` equal those of a structure built from
+/// scratch on `edges` (a forest here, so every BFS parent is unique).
+void expect_matches_fresh(const UltraSparseSpanner& sp, size_t n,
+                          const std::vector<Edge>& edges,
+                          const UltraConfig& cfg) {
+  UltraSparseSpanner fresh(n, edges, cfg);
+  ASSERT_TRUE(sp.check_invariants());
+  for (VertexId v = 0; v < n; ++v) {
+    ASSERT_EQ(sp.head(v), fresh.head(v)) << "v=" << v;
+    ASSERT_EQ(sp.parent(v), fresh.parent(v)) << "v=" << v;
+    ASSERT_EQ(sp.reach(v), fresh.reach(v)) << "v=" << v;
+  }
+}
+
+TEST(UltraSparseSpanner, TouchAtReachRecomputesTouchPastReachSkips) {
+  // A path a_0 .. a_62 of unsampled vertices hangs off a sampled vertex s,
+  // so a_i heads to s at distance i+1 (its reach) while i+1 <= T = 20.
+  // Making a path vertex heavy with no sampled neighbor turns it into its
+  // own center (D'), offered at its exact distance.
+  //  * Past reach: a_12 turns heavy. a_5 (reach 6) sits at distance 7 from
+  //    it, so Algorithm 6 reaches a_5 past its reach and skips it; a_5
+  //    still heads to s, while a_6 .. a_11 move to a_12.
+  //  * At reach: a_60 turns heavy. a_40 (no candidate within T, reach T)
+  //    sits at distance exactly T from it and must move to a_60.
+  UltraConfig cfg;
+  cfg.x = 2;
+  cfg.seed = 5;
+  const size_t n = 400;
+  std::vector<VertexId> unsampled;
+  VertexId s = kNoVertex;
+  {
+    UltraSparseSpanner probe(n, {}, cfg);  // sampling depends on n, seed only
+    ASSERT_EQ(probe.heavy_threshold(), 20u);
+    for (VertexId v = 0; v < n; ++v) {
+      if (!probe.is_sampled(v))
+        unsampled.push_back(v);
+      else if (s == kNoVertex)
+        s = v;
+    }
+  }
+  const size_t path_len = 63, leaves = 18;  // a_i degree 2 + 18 = T: heavy
+  ASSERT_NE(s, kNoVertex);
+  ASSERT_GE(unsampled.size(), path_len + 2 * leaves);
+  auto a = [&](size_t i) { return unsampled[i]; };
+  std::vector<Edge> edges{Edge(s, a(0))};
+  for (size_t i = 0; i + 1 < path_len; ++i) edges.emplace_back(a(i), a(i + 1));
+  UltraSparseSpanner sp(n, edges, cfg);
+  expect_matches_fresh(sp, n, edges, cfg);
+  ASSERT_EQ(sp.head(a(5)), s);
+  ASSERT_EQ(sp.reach(a(5)), 6u);
+  ASSERT_EQ(sp.reach(a(40)), 20u);
+  ASSERT_EQ(sp.head(a(40)), a(40));  // unclustered: ball exceeds T
+
+  size_t next_leaf = path_len;
+  auto make_heavy = [&](VertexId hub) {
+    std::vector<Edge> ins;
+    for (size_t j = 0; j < leaves; ++j)
+      ins.emplace_back(hub, unsampled[next_leaf++]);
+    sp.insert_edges(ins);
+    edges.insert(edges.end(), ins.begin(), ins.end());
+  };
+
+  make_heavy(a(12));  // distance reach(a_5) + 1 from a_5
+  expect_matches_fresh(sp, n, edges, cfg);
+  EXPECT_EQ(sp.head(a(12)), a(12));
+  EXPECT_EQ(sp.head(a(6)), a(12));
+  EXPECT_EQ(sp.head(a(5)), s);
+  EXPECT_EQ(sp.parent(a(5)), a(4));
+  EXPECT_EQ(sp.reach(a(5)), 6u);
+  ASSERT_EQ(sp.head(a(40)), a(40));
+  ASSERT_EQ(sp.reach(a(40)), 20u);
+
+  make_heavy(a(60));  // distance exactly reach(a_40) = T from a_40
+  expect_matches_fresh(sp, n, edges, cfg);
+  EXPECT_EQ(sp.head(a(40)), a(60));
+  EXPECT_EQ(sp.parent(a(40)), a(41));
+  EXPECT_EQ(sp.reach(a(40)), 20u);
+  EXPECT_EQ(sp.head(a(39)), a(39));  // distance T + 1: out of range
 }
 
 }  // namespace
